@@ -9,13 +9,15 @@ Two measurements feed the ``BENCH_synthesis.json`` perf trajectory:
   reported as throughput (converged syntheses per second) plus the
   loss each path reaches;
 * **cold vs warm CoverageStore** — a full Alg. 2 coverage build against
-  re-loading the same clouds from the sqlite store (disk tier: a fresh
-  store instance, nothing memoized in-process).
+  re-loading the same set from the sqlite store (a fresh store
+  instance, nothing memoized in-process: the persisted hull tier
+  answers, so neither the clouds nor qhull are touched).
 
 ``test_perf_smoke_coverage_store`` is the cheap CI guard: the warm
 store must be at least 2x faster than the cold build on the small
 preset (observed ~40x, so the bound trips on a genuinely broken store,
-not on runner noise).
+not on runner noise), and — noise-free — the warm load must be one
+hull-tier hit with zero hull re-assemblies.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.core.coverage import (
     coverage_cache_key,
     haar_coordinate_samples,
 )
+from repro.obs import metrics
 from repro.quantum.weyl import named_gate_coordinates
 from repro.service.coverage_store import CoverageStore
 from repro.synthesis import SynthesisEngine, synthesize
@@ -136,12 +139,18 @@ def _store_entry(tmp_path) -> dict:
     cold = build_coverage_set(store=cold_store, **SMALL_PRESET)
     cold_s = time.perf_counter() - start
 
-    # Fresh instance: empty memory tier, clouds come from sqlite.
+    # Fresh instance: empty memory tier, hulls come from sqlite.
     warm_store = CoverageStore(path=store_path)
+    assemblies = metrics.counter("repro.coverage.assemblies")
+    assembled_before = assemblies.value
     start = time.perf_counter()
     warm = build_coverage_set(store=warm_store, **SMALL_PRESET)
     warm_s = time.perf_counter() - start
-    assert warm_store.stats.disk_hits == 1, "warm build missed the store"
+    assert warm_store.stats.hull_hits == 1, "warm build missed the hull tier"
+    assert warm_store.stats.hull_misses == 0
+    assert assemblies.value == assembled_before, (
+        "warm build re-assembled hulls instead of loading them"
+    )
 
     haar = haar_coordinate_samples(500, seed=9)
     assert np.array_equal(cold.min_k(haar), warm.min_k(haar)), (

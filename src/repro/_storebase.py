@@ -252,30 +252,27 @@ class SqliteStoreMixin:
                 f"refusing to merge {self._STORE_LABEL} {self.path} into itself"
             )
         source = self._open_db(other_path)
-        try:
-            rows = source.execute(
-                f"SELECT * FROM {self._STORE_TABLE}"
-            ).fetchall()
-        finally:
-            source.close()
-        if not rows:
-            return 0
-        placeholders = ",".join("?" * len(rows[0]))
         absorbed = 0
         try:
-            for row in rows:
+            # Stream row by row: rows can carry multi-megabyte payloads
+            # (coverage hull state), so a fetchall would hold a whole
+            # store in memory.
+            for row in source.execute(f"SELECT * FROM {self._STORE_TABLE}"):
                 cursor = conn.execute(
                     f"INSERT OR IGNORE INTO {self._STORE_TABLE} "
-                    f"VALUES ({placeholders})",
+                    f"VALUES ({','.join('?' * len(row))})",
                     row,
                 )
                 absorbed += cursor.rowcount
             conn.commit()
         except sqlite3.Error as exc:
+            conn.rollback()
             raise self._STORE_ERROR(
                 f"cannot merge {other_path} into {self._STORE_LABEL} "
                 f"{self.path}: {exc}"
             ) from exc
+        finally:
+            source.close()
         return absorbed
 
 

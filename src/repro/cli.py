@@ -376,6 +376,26 @@ def _store_rows(path, table: str) -> int:
     return int(count)
 
 
+def _coverage_usage_note(usage: dict[str, int]) -> str:
+    """Row and byte counts of a coverage store's cloud and hull tiers."""
+    return (
+        f"clouds {usage['cloud_bytes'] / 1e6:.1f} MB, hull state on "
+        f"{usage['hulls']} row(s) {usage['hull_bytes'] / 1e6:.1f} MB"
+    )
+
+
+def _store_coverage_usage(path) -> str:
+    import sqlite3
+
+    from .service.coverage_store import coverage_disk_usage
+
+    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True, timeout=30.0)
+    try:
+        return _coverage_usage_note(coverage_disk_usage(conn))
+    finally:
+        conn.close()
+
+
 def _cmd_store(args: argparse.Namespace) -> int:
     from .service import (
         QueueError,
@@ -392,8 +412,11 @@ def _cmd_store(args: argparse.Namespace) -> int:
             for path in args.paths:
                 kind = detect_store_kind(path)
                 table, label = _STORE_KINDS[kind]
-                print(f"{path}: {label} ({kind}), "
-                      f"{_store_rows(path, table)} row(s)")
+                line = (f"{path}: {label} ({kind}), "
+                        f"{_store_rows(path, table)} row(s)")
+                if kind == "coverage":
+                    line += f"; {_store_coverage_usage(path)}"
+                print(line)
         except store_errors as exc:
             print(f"store: {exc}", file=sys.stderr)
             return 1
@@ -562,7 +585,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             store = default_coverage_store()
             print(
                 f"coverage store: {store.stats.as_dict()} "
-                f"({store.disk_entries()} clouds at {store.path})"
+                f"({store.disk_entries()} clouds at {store.path}; "
+                f"{_coverage_usage_note(store.disk_usage())})"
             )
         else:
             # Touching the default store here would create the sqlite

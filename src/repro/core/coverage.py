@@ -18,6 +18,7 @@ numerically, exactly as the paper's Algorithm 2:
 from __future__ import annotations
 
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,9 +48,12 @@ def default_cache_dir() -> Path:
     Overridable via ``REPRO_CACHE_DIR``; defaults to
     ``~/.cache/repro-coverage``.  The sqlite-backed
     :class:`~repro.service.coverage_store.CoverageStore` lives here (as
-    did the legacy per-key ``.npz`` archives it migrates from).  Hull
-    construction from cached points takes milliseconds, so persisting
-    the raw clouds makes repeated test and benchmark runs cheap.
+    did the legacy per-key ``.npz`` archives it migrates from).  The
+    store keeps the raw clouds *and* the assembled hull state: the
+    clouds skip the minutes-long Algorithm-2 sampling, and the hull
+    state skips re-triangulating them (0.8–2.8 s per set at the paper's
+    cloud sizes), so a fresh process loads a set in a fraction of a
+    second.
     """
     override = os.environ.get("REPRO_CACHE_DIR")
     base = Path(override) if override else Path.home() / ".cache" / "repro-coverage"
@@ -86,11 +90,23 @@ _EXTERIOR_TARGETS: tuple[tuple[str, tuple[float, float, float]], ...] = (
 )
 
 
+#: ``Delaunay`` attributes that are lazily computed caches (or the
+#: closed qhull handle): never persisted, reset to ``None`` on load and
+#: rebuilt on first use.  The barycentric ``_transform`` alone would
+#: double a hull payload.
+_DELAUNAY_LAZY = (
+    "_qhull", "_transform", "_vertex_to_simplex", "_vertex_neighbor_vertices"
+)
+
+
 class RegionHull:
     """Point-cloud convex hull with degenerate-dimension fallback.
 
     Supports full 3-D regions, planar regions (e.g. the chamber base
     plane), line segments (e.g. the CNOT family), and single points.
+    :meth:`state` / :meth:`from_state` round-trip an assembled hull
+    through plain arrays, bit-exactly, so a persisted hull answers every
+    :meth:`contains` query exactly as the freshly triangulated one.
     """
 
     def __init__(self, points: np.ndarray, tol: float = 1e-4):
@@ -136,6 +152,68 @@ class RegionHull:
                 self._facets = ConvexHull(triangulated).equations
             except QhullError:  # pragma: no cover - joggled-input clouds
                 self._facets = None
+
+    def state(self) -> dict[str, np.ndarray]:
+        """Exact array form of the assembled hull (see :meth:`from_state`).
+
+        Holds the projection (``centroid``, ``basis``, ``rank``), the
+        rank-1 ``interval``, the facet equations, and the ``Delaunay``
+        pickle state minus its lazy caches.  Every entry is a numeric or
+        string array, so the state stores without pickling.
+        """
+        state = {
+            "tol": np.float64(self.tol),
+            "centroid": self.centroid,
+            "basis": self.basis,
+            "rank": np.int64(self.rank),
+        }
+        if self._interval is not None:
+            state["interval"] = np.array(self._interval, dtype=float)
+        if self._facets is not None:
+            state["facets"] = self._facets
+        if self._delaunay is not None:
+            unset = []
+            for name, value in vars(self._delaunay).items():
+                if value is None or name in _DELAUNAY_LAZY:
+                    unset.append(name)
+                else:
+                    state[f"delaunay.{name}"] = np.asarray(value)
+            state["delaunay.unset"] = np.array(unset, dtype=str)
+        return state
+
+    @classmethod
+    def from_state(cls, state: Mapping[str, np.ndarray]) -> RegionHull:
+        """Rehydrate a hull from :meth:`state` without SVD or qhull.
+
+        Raises:
+            KeyError, ValueError: on a malformed state.
+        """
+        hull = cls.__new__(cls)
+        hull.tol = float(state["tol"])
+        hull.centroid = np.asarray(state["centroid"], dtype=float)
+        hull.basis = np.asarray(state["basis"], dtype=float)
+        hull.rank = int(state["rank"])
+        if hull.centroid.shape != (3,) or hull.basis.shape != (hull.rank, 3):
+            raise ValueError("hull state has inconsistent projection shapes")
+        hull._interval = None
+        if "interval" in state:
+            low, high = (float(value) for value in state["interval"])
+            hull._interval = (low, high)
+        hull._facets = state["facets"] if "facets" in state else None
+        hull._delaunay = None
+        if "delaunay.unset" in state:
+            delaunay = Delaunay.__new__(Delaunay)
+            attrs = dict.fromkeys(_DELAUNAY_LAZY)
+            attrs.update(dict.fromkeys(str(n) for n in state["delaunay.unset"]))
+            for name in state:
+                if name.startswith("delaunay.") and name != "delaunay.unset":
+                    value = state[name]
+                    attrs[name[len("delaunay."):]] = (
+                        value.item() if value.ndim == 0 else value
+                    )
+            vars(delaunay).update(attrs)
+            hull._delaunay = delaunay
+        return hull
 
     @staticmethod
     def _triangulate(projected: np.ndarray) -> Delaunay | None:
@@ -431,11 +509,24 @@ def build_coverage_set(
         assembled = store.get_set(key)
         if assembled is not None:
             return assembled
+        assembled = store.get_hulls(
+            key,
+            kmax,
+            lambda state: _rehydrate_coverage(
+                basis_name, parallel, state, kmax
+            ),
+        )
+        if assembled is not None:
+            store.remember_set(key, assembled)
+            return assembled
         cached_clouds = store.get_clouds(key, kmax)
         if cached_clouds is not None:
+            # Clouds without (current) hull state: assemble once and
+            # persist the hulls so later processes skip qhull.
             assembled = _assemble_coverage(
                 basis_name, parallel, cached_clouds
             )
+            store.put_hulls(key, kmax, _hull_state(assembled))
             store.remember_set(key, assembled)
             return assembled
 
@@ -460,6 +551,7 @@ def build_coverage_set(
     assembled = _assemble_coverage(basis_name, parallel, clouds)
     if key is not None and store is not None:
         store.put_clouds(key, clouds)
+        store.put_hulls(key, kmax, _hull_state(assembled))
         store.remember_set(key, assembled)
     return assembled
 
@@ -520,7 +612,10 @@ def _build_clouds(
 def _assemble_coverage(
     basis_name: str, parallel: bool, clouds: list[np.ndarray]
 ) -> CoverageSet:
-    """Build hull structures from per-K point clouds."""
+    """Build hull structures from per-K point clouds (SVD + qhull)."""
+    from ..obs import metrics as obs_metrics
+
+    obs_metrics.counter("repro.coverage.assemblies").inc()
     coverages = []
     for k, points in enumerate(clouds, start=1):
         left_pts, right_pts = _split_halves(points)
@@ -528,6 +623,63 @@ def _assemble_coverage(
         right = RegionHull(right_pts) if len(right_pts) >= 4 else None
         coverages.append(
             KCoverage(k=k, left=left, right=right, num_points=len(points))
+        )
+    return CoverageSet(
+        basis_name=basis_name,
+        parallel=parallel,
+        coverages=tuple(coverages),
+    )
+
+
+def _hull_state(coverage: CoverageSet) -> dict[str, np.ndarray]:
+    """Flat array form of every assembled hull in a coverage set.
+
+    Names are ``k<K>.num_points`` and ``k<K>.<left|right>.<field>``
+    over :meth:`RegionHull.state` fields; a missing right half has no
+    entries.
+    """
+    state: dict[str, np.ndarray] = {}
+    for region in coverage.coverages:
+        state[f"k{region.k}.num_points"] = np.int64(region.num_points)
+        for side, hull in (("left", region.left), ("right", region.right)):
+            if hull is not None:
+                for name, value in hull.state().items():
+                    state[f"k{region.k}.{side}.{name}"] = value
+    return state
+
+
+def _rehydrate_coverage(
+    basis_name: str,
+    parallel: bool,
+    state: Mapping[str, np.ndarray],
+    kmax: int,
+) -> CoverageSet:
+    """Inverse of :func:`_hull_state` for K = 1..kmax (no qhull calls).
+
+    Raises:
+        KeyError, ValueError: on a malformed or short state.
+    """
+    names = list(state)
+    coverages = []
+    for k in range(1, kmax + 1):
+        halves: dict[str, RegionHull | None] = {}
+        for side in ("left", "right"):
+            prefix = f"k{k}.{side}."
+            fields = {
+                name[len(prefix):]: state[name]
+                for name in names
+                if name.startswith(prefix)
+            }
+            halves[side] = RegionHull.from_state(fields) if fields else None
+        if halves["left"] is None:
+            raise KeyError(f"hull state lacks the K={k} left region")
+        coverages.append(
+            KCoverage(
+                k=k,
+                left=halves["left"],
+                right=halves["right"],
+                num_points=int(state[f"k{k}.num_points"]),
+            )
         )
     return CoverageSet(
         basis_name=basis_name,

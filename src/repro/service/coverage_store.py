@@ -1,4 +1,4 @@
-"""Persistent store for coverage-set point clouds.
+"""Persistent store for coverage-set point clouds and their hulls.
 
 Coverage sets (paper Alg. 2) are pure functions of the template
 parameters and the sampling seed, and they are *expensive*: thousands of
@@ -7,24 +7,38 @@ historical cache was a per-directory pile of ``.npz`` files with an
 in-process dict memo bolted on the side — invisible to the service
 layer, unqueryable, and racy to clean up.
 
-:class:`CoverageStore` promotes it to the same two-tier shape as
-:class:`~repro.service.cache.DecompositionCache`:
+:class:`CoverageStore` answers a coverage lookup from three tiers:
 
 * an in-memory LRU front of *assembled* :class:`CoverageSet` objects
-  (hull construction from a cached cloud costs seconds at scale;
-  repeated scoring sweeps like Fig. 5's SLF grid reuse the same sets
+  (repeated scoring sweeps like Fig. 5's SLF grid reuse the same sets
   dozens of times);
-* an on-disk sqlite store of the raw per-K point clouds, shared by
-  every worker process and persisted across runs, living at
-  ``<REPRO_CACHE_DIR>/coverage.sqlite`` next to the legacy ``.npz``
-  files it replaces.
+* the persisted *hull state* of each assembled set — every
+  ``RegionHull``'s projection, facets and ``Delaunay`` arrays — so a
+  fresh process (a forked service worker, a new test run) rehydrates
+  the hulls instead of re-running SVD + qhull over 9k–24k-point clouds,
+  which costs 0.8–2.8 s per set;
+* the raw per-K point clouds, from which the hulls are re-assembled
+  when their state is missing, stale or corrupt.
+
+Both persisted tiers live in one sqlite row per key (``clouds`` table:
+``payload`` and the nullable ``hulls`` column) at
+``<REPRO_CACHE_DIR>/coverage.sqlite``, shared by every worker process
+and persisted across runs.  Keeping them in one row lets
+:meth:`~repro.service.store_base.SqliteStoreMixin.merge` carry hull
+state along with the clouds when shard or build partitions fold.
 
 Keyspace discipline matches the decomposition cache: the key string
 encodes the template family (backend), every geometry-affecting
 parameter, and the sampling seed — two builds share a row only when
-they are the same computation.  Payloads are the exact float64 bytes of
-the sampled clouds, so a warm load is bit-identical to the cold build
-(coverage digests are part of the paper pipeline's contract).
+they are the same computation.  Cloud payloads are the exact float64
+bytes of the sampled clouds, and hull payloads the exact arrays of the
+assembled hulls (an uncompressed ``.npz``, read with
+``allow_pickle=False``: the store is a shared on-disk cache and never
+unpickles).  A warm load is therefore bit-identical to the cold build
+(coverage digests are part of the paper pipeline's contract).  Hull
+payloads carry a format token naming the payload version and the scipy
+and numpy versions that wrote them; a payload from any other build is
+re-assembled from the clouds and overwritten.
 
 The legacy per-directory ``.npz`` read path (and its one-release
 absorption shim) is gone: a stale ``<key>.npz`` next to the store now
@@ -34,13 +48,18 @@ row straight into sqlite.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import sqlite3
+import zipfile
 from collections import OrderedDict
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TypeVar
 
 import numpy as np
+import scipy
 
 from ..obs import metrics
 from .store_base import SqliteStoreMixin
@@ -48,11 +67,28 @@ from .store_base import SqliteStoreMixin
 __all__ = [
     "CoverageStoreStats",
     "CoverageStore",
+    "coverage_disk_usage",
     "default_coverage_store",
 ]
 
 #: Cloud-store schema version (bumped on incompatible layout changes).
-_COVERAGE_SCHEMA = 1
+#: v2 added the nullable ``hulls`` column; v1 stores migrate in place.
+_COVERAGE_SCHEMA = 2
+
+#: Stamp of the hull payloads this build writes and reads.  ``Delaunay``
+#: internals are scipy's private layout, so a payload written under any
+#: other scipy (or numpy, or payload format) is re-assembled instead.
+_HULL_FORMAT = (
+    f"hulls-v1|scipy-{scipy.__version__}|numpy-{np.__version__}"
+)
+
+#: What decoding a damaged npz payload can raise.
+_DECODE_ERRORS = (
+    OSError, KeyError, ValueError, TypeError, IndexError, EOFError,
+    zipfile.BadZipFile,
+)
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -68,11 +104,19 @@ class CoverageStoreStats:
     disk_hits: int = 0
     misses: int = 0
     puts: int = 0
+    #: Lookups the persisted hull tier answered / could not answer (a
+    #: hull miss re-assembles the set from its clouds or a fresh build).
+    hull_hits: int = 0
+    hull_misses: int = 0
 
     _METRIC_PREFIX = "repro.cache.coverage"
+    _FIELDS = (
+        "memory_hits", "disk_hits", "misses", "puts", "hull_hits",
+        "hull_misses",
+    )
 
     def __setattr__(self, name: str, value) -> None:
-        if name in ("memory_hits", "disk_hits", "misses", "puts"):
+        if name in self._FIELDS:
             delta = value - getattr(self, name, 0)
             if delta > 0:
                 metrics.counter(f"{self._METRIC_PREFIX}.{name}").inc(delta)
@@ -80,17 +124,12 @@ class CoverageStoreStats:
 
     @property
     def hits(self) -> int:
-        """Total hits across all tiers."""
+        """Total hits across the memory and cloud tiers."""
         return self.memory_hits + self.disk_hits
 
     def as_dict(self) -> dict[str, int]:
         """Plain-dict form for JSON reports."""
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "puts": self.puts,
-        }
+        return {name: getattr(self, name) for name in self._FIELDS}
 
 
 def _encode_clouds(clouds: list[np.ndarray]) -> bytes:
@@ -106,12 +145,50 @@ def _encode_clouds(clouds: list[np.ndarray]) -> bytes:
 
 def _decode_clouds(payload: bytes, kmax: int) -> list[np.ndarray]:
     """Inverse of :func:`_encode_clouds`."""
-    with np.load(io.BytesIO(payload)) as data:
+    with np.load(io.BytesIO(payload), allow_pickle=False) as data:
         return [data[f"k{k}"] for k in range(1, kmax + 1)]
 
 
+def _encode_hulls(state: Mapping[str, np.ndarray], kmax: int) -> bytes:
+    """Uncompressed npz bytes of a hull state, stamped with its format.
+
+    Uncompressed because the arrays are integer simplices and float
+    equations that deflate poorly, and inflating them would eat most of
+    what the tier saves.
+    """
+    buffer = io.BytesIO()
+    np.savez(
+        buffer, format=np.array(_HULL_FORMAT), kmax=np.int64(kmax), **state
+    )
+    return buffer.getvalue()
+
+
+def coverage_disk_usage(conn: sqlite3.Connection) -> dict[str, int]:
+    """Rows and payload bytes of both persisted tiers of a store.
+
+    Works on any coverage database, including a not-yet-migrated v1
+    store (which has no hull column and reports zero hulls).
+    """
+    columns = {row[1] for row in conn.execute("PRAGMA table_info(clouds)")}
+    hulls = (
+        "COUNT(hulls), COALESCE(SUM(LENGTH(hulls)), 0)"
+        if "hulls" in columns
+        else "0, 0"
+    )
+    clouds, cloud_bytes, hull_rows, hull_bytes = conn.execute(
+        "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0), "
+        f"{hulls} FROM clouds"
+    ).fetchone()
+    return {
+        "clouds": int(clouds),
+        "cloud_bytes": int(cloud_bytes),
+        "hulls": int(hull_rows),
+        "hull_bytes": int(hull_bytes),
+    }
+
+
 class CoverageStore(SqliteStoreMixin):
-    """Two-tier (LRU + sqlite) store of coverage point clouds.
+    """Three-tier (LRU, hull state, clouds) store of coverage sets.
 
     Args:
         path: sqlite database file; ``None`` picks
@@ -127,7 +204,8 @@ class CoverageStore(SqliteStoreMixin):
         "CREATE TABLE IF NOT EXISTS clouds ("
         "  key TEXT PRIMARY KEY,"
         "  kmax INTEGER NOT NULL,"
-        "  payload BLOB NOT NULL)",
+        "  payload BLOB NOT NULL,"
+        "  hulls BLOB)",
     )
     # A store that cannot persist must never fail a coverage build.
     _STORE_DEGRADE = True
@@ -155,6 +233,23 @@ class CoverageStore(SqliteStoreMixin):
     def _store_degraded(self) -> None:
         self.persistent = False
 
+    def _store_migrate(self, conn: sqlite3.Connection, found: int) -> bool:
+        if found == 1:
+            # In-place v1 -> v2 migration: the nullable hull column.
+            # Existing rows start without hull state and gain it on
+            # their next load.
+            columns = {
+                row[1] for row in conn.execute("PRAGMA table_info(clouds)")
+            }
+            if columns and "hulls" not in columns:
+                conn.execute("ALTER TABLE clouds ADD COLUMN hulls BLOB")
+            conn.execute(
+                "UPDATE meta SET value = ? WHERE key = ?",
+                (str(_COVERAGE_SCHEMA), self._STORE_SCHEMA_KEY),
+            )
+            return True
+        return found == _COVERAGE_SCHEMA
+
     # -- assembled-set tier --------------------------------------------------
 
     def get_set(self, key: str):
@@ -172,6 +267,87 @@ class CoverageStore(SqliteStoreMixin):
         while len(self._memory) > self.memory_size:
             self._memory.popitem(last=False)
             metrics.counter("repro.cache.coverage.evictions").inc()
+
+    # -- hull tier -----------------------------------------------------------
+
+    def get_hulls(
+        self,
+        key: str,
+        kmax: int,
+        rehydrate: Callable[[Mapping[str, np.ndarray]], _T],
+    ) -> _T | None:
+        """The set rebuilt from persisted hull state, or ``None``.
+
+        ``rehydrate`` maps the decoded payload (name -> array) to the
+        assembled set.  A payload that is absent, stamped by another
+        build (:data:`_HULL_FORMAT`), holds fewer than ``kmax`` K, or
+        fails to decode or rehydrate is a hull miss: the caller
+        re-assembles from the clouds and overwrites it via
+        :meth:`put_hulls`.
+        """
+        conn = self._connection()
+        payload = None
+        if conn is not None:
+            try:
+                row = conn.execute(
+                    "SELECT hulls FROM clouds WHERE key = ?", (key,)
+                ).fetchone()
+            except sqlite3.Error:
+                row = None
+            if row is not None:
+                payload = row[0]
+        if payload is not None:
+            try:
+                with np.load(io.BytesIO(payload), allow_pickle=False) as data:
+                    if (
+                        str(data["format"]) == _HULL_FORMAT
+                        and int(data["kmax"]) >= kmax
+                    ):
+                        assembled = rehydrate(data)
+                        self.stats.hull_hits += 1
+                        return assembled
+            except _DECODE_ERRORS:
+                pass
+        self.stats.hull_misses += 1
+        return None
+
+    def put_hulls(
+        self, key: str, kmax: int, state: Mapping[str, np.ndarray]
+    ) -> None:
+        """Attach assembled hull state for K = 1..kmax to the key's row.
+
+        ``state`` is :func:`repro.core.coverage._hull_state` output.  A
+        key without a cloud row stores nothing: hulls are only ever a
+        cache of the clouds.
+        """
+        conn = self._connection()
+        if conn is None:
+            return
+        payload = _encode_hulls(state, kmax)
+        try:
+            if hasattr(conn, "blobopen"):
+                # Stream into a zero-filled blob: binding the payload as
+                # a parameter would hold two more transient copies of it.
+                row = conn.execute(
+                    "SELECT rowid FROM clouds WHERE key = ?", (key,)
+                ).fetchone()
+                if row is not None:
+                    conn.execute(
+                        "UPDATE clouds SET hulls = zeroblob(?) WHERE rowid = ?",
+                        (len(payload), row[0]),
+                    )
+                    with conn.blobopen("clouds", "hulls", row[0]) as blob:
+                        blob.write(payload)
+            else:  # pragma: no cover - Python < 3.11
+                conn.execute(
+                    "UPDATE clouds SET hulls = ? WHERE key = ?", (payload, key)
+                )
+            conn.commit()
+        except sqlite3.Error:
+            # A lost write is only a future re-assembly; never leave a
+            # zero-filled blob pending for a later commit.
+            with contextlib.suppress(sqlite3.Error):
+                conn.rollback()
 
     # -- cloud tier ----------------------------------------------------------
 
@@ -203,7 +379,7 @@ class CoverageStore(SqliteStoreMixin):
                 if int(stored_kmax) >= kmax:
                     try:
                         clouds = _decode_clouds(payload, kmax)
-                    except (OSError, KeyError, ValueError):
+                    except _DECODE_ERRORS:
                         clouds = None
                     if clouds is not None:
                         self.stats.disk_hits += 1
@@ -232,7 +408,11 @@ class CoverageStore(SqliteStoreMixin):
         return None
 
     def put_clouds(self, key: str, clouds: list[np.ndarray]) -> None:
-        """Persist per-K clouds for a key (one write transaction)."""
+        """Persist per-K clouds for a key (one write transaction).
+
+        Replacing a row drops its hull state: hulls of other clouds
+        must never answer for these.
+        """
         conn = self._connection()
         if conn is None:
             return
@@ -243,7 +423,8 @@ class CoverageStore(SqliteStoreMixin):
         ).observe(len(payload))
         try:
             conn.execute(
-                "INSERT OR REPLACE INTO clouds VALUES (?, ?, ?)",
+                "INSERT OR REPLACE INTO clouds (key, kmax, payload)"
+                " VALUES (?, ?, ?)",
                 (key, len(clouds), payload),
             )
             conn.commit()
@@ -268,6 +449,17 @@ class CoverageStore(SqliteStoreMixin):
         except sqlite3.Error:
             return 0
         return int(count)
+
+    def disk_usage(self) -> dict[str, int]:
+        """Rows and bytes of the cloud and hull tiers (see
+        :func:`coverage_disk_usage`); all zero when memory-only."""
+        conn = self._connection()
+        if conn is not None:
+            try:
+                return coverage_disk_usage(conn)
+            except sqlite3.Error:
+                pass
+        return dict.fromkeys(("clouds", "cloud_bytes", "hulls", "hull_bytes"), 0)
 
     def clear(self, disk: bool = False) -> None:
         """Empty the memory tier (and optionally the persistent store)."""

@@ -468,8 +468,8 @@ def build_coverage_set(
         boost_targets: run the synthesizer toward the chamber's exterior
             points and fold its training path into the point cloud —
             random sampling alone under-fills hull corners.
-        cache: persist/reuse the sampled point clouds through the
-            coverage store.
+        cache: persist/reuse the sampled point clouds and the
+            assembled hull state through the coverage store.
         engine: the :class:`~repro.synthesis.SynthesisEngine` supplying
             the template family and training path (``None`` = the
             process-default piecewise engine — the digest-stable paper

@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,87 @@ _EXTERIOR_TARGETS: tuple[tuple[str, tuple[float, float, float]], ...] = (
 _DELAUNAY_LAZY = (
     "_qhull", "_transform", "_vertex_to_simplex", "_vertex_neighbor_vertices"
 )
+
+
+@cache
+def _delaunay_layout() -> dict[str, tuple[np.dtype, int]]:
+    """dtype and ndim of every persisted ``Delaunay`` attribute.
+
+    Read off a fresh triangulation, so it always matches the installed
+    scipy.
+    """
+    fresh = Delaunay(np.vstack([np.zeros(3), np.eye(3), np.ones(3)]))
+    return {
+        name: (np.asarray(value).dtype, np.asarray(value).ndim)
+        for name, value in vars(fresh).items()
+        if name not in _DELAUNAY_LAZY
+    }
+
+
+def _in_range(indices: np.ndarray, low: int, high: int) -> bool:
+    return bool(np.all((indices >= low) & (indices < high)))
+
+
+def _rehydrate_delaunay(
+    state: Mapping[str, np.ndarray], rank: int
+) -> Delaunay:
+    """A ``Delaunay`` from persisted arrays, checked before scipy sees them.
+
+    scipy's point location walks ``simplices`` and ``neighbors``
+    through raw pointers without bounds checks, and the arrays come from
+    a shared on-disk cache.  So the state must carry exactly the fields
+    of a fresh triangulation, with their dtypes and dimensions, shapes
+    consistent with ``ndim``/``npoints``/``nsimplex``, and every index
+    in range.
+
+    Raises:
+        ValueError: on any mismatch.
+    """
+    layout = _delaunay_layout()
+    prefix = "delaunay."
+    given = {
+        name[len(prefix):]: state[name]
+        for name in state
+        if name.startswith(prefix) and name != "delaunay.unset"
+    }
+    unset = {str(name) for name in state["delaunay.unset"]}
+    if given.keys() != layout.keys() or not unset <= set(_DELAUNAY_LAZY):
+        raise ValueError("hull state has unknown or missing Delaunay fields")
+    attrs: dict[str, object] = dict.fromkeys(_DELAUNAY_LAZY)
+    for name, value in given.items():
+        dtype, ndim = layout[name]
+        if value.dtype != dtype or value.ndim != ndim:
+            raise ValueError(f"Delaunay field {name!r} has the wrong type")
+        attrs[name] = value.item() if ndim == 0 else value
+    dim, npoints, nsimplex = attrs["ndim"], attrs["npoints"], attrs["nsimplex"]
+    shapes = {
+        "_points": (npoints, dim),
+        "simplices": (nsimplex, dim + 1),
+        "neighbors": (nsimplex, dim + 1),
+        "equations": (nsimplex, dim + 2),
+        "good": (nsimplex,),
+        "min_bound": (dim,),
+        "max_bound": (dim,),
+    }
+    coplanar = attrs["coplanar"]
+    if (
+        dim != rank
+        or nsimplex < 1
+        or coplanar.shape[1:] != (3,)
+        or any(attrs[name].shape != shape for name, shape in shapes.items())
+    ):
+        raise ValueError("hull state has inconsistent Delaunay shapes")
+    # coplanar rows are (point, nearest simplex, nearest vertex).
+    if not (
+        _in_range(attrs["simplices"], 0, npoints)
+        and _in_range(attrs["neighbors"], -1, nsimplex)
+        and _in_range(coplanar[:, 0::2], 0, npoints)
+        and _in_range(coplanar[:, 1], 0, nsimplex)
+    ):
+        raise ValueError("hull state has out-of-range Delaunay indices")
+    delaunay = Delaunay.__new__(Delaunay)
+    vars(delaunay).update(attrs)
+    return delaunay
 
 
 class RegionHull:
@@ -185,6 +267,10 @@ class RegionHull:
     def from_state(cls, state: Mapping[str, np.ndarray]) -> RegionHull:
         """Rehydrate a hull from :meth:`state` without SVD or qhull.
 
+        The state may come from a shared on-disk cache, so every field
+        is checked (see :func:`_rehydrate_delaunay`) before any query
+        can reach scipy with it.
+
         Raises:
             KeyError, ValueError: on a malformed state.
         """
@@ -193,26 +279,29 @@ class RegionHull:
         hull.centroid = np.asarray(state["centroid"], dtype=float)
         hull.basis = np.asarray(state["basis"], dtype=float)
         hull.rank = int(state["rank"])
-        if hull.centroid.shape != (3,) or hull.basis.shape != (hull.rank, 3):
+        if (
+            not 0 <= hull.rank <= 3
+            or hull.centroid.shape != (3,)
+            or hull.basis.shape != (hull.rank, 3)
+        ):
             raise ValueError("hull state has inconsistent projection shapes")
         hull._interval = None
         if "interval" in state:
             low, high = (float(value) for value in state["interval"])
             hull._interval = (low, high)
-        hull._facets = state["facets"] if "facets" in state else None
+        elif hull.rank == 1:
+            raise ValueError("rank-1 hull state lacks its interval")
+        hull._facets = None
+        if "facets" in state:
+            facets = state["facets"]
+            if facets.dtype != np.float64 or facets.shape[1:] != (
+                hull.rank + 1,
+            ):
+                raise ValueError("hull state has malformed facet equations")
+            hull._facets = facets
         hull._delaunay = None
         if "delaunay.unset" in state:
-            delaunay = Delaunay.__new__(Delaunay)
-            attrs = dict.fromkeys(_DELAUNAY_LAZY)
-            attrs.update(dict.fromkeys(str(n) for n in state["delaunay.unset"]))
-            for name in state:
-                if name.startswith("delaunay.") and name != "delaunay.unset":
-                    value = state[name]
-                    attrs[name[len("delaunay."):]] = (
-                        value.item() if value.ndim == 0 else value
-                    )
-            vars(delaunay).update(attrs)
-            hull._delaunay = delaunay
+            hull._delaunay = _rehydrate_delaunay(state, hull.rank)
         return hull
 
     @staticmethod

@@ -34,7 +34,8 @@ they are the same computation.  Cloud payloads are the exact float64
 bytes of the sampled clouds, and hull payloads the exact arrays of the
 assembled hulls (an uncompressed ``.npz``, read with
 ``allow_pickle=False``: the store is a shared on-disk cache and never
-unpickles).  A warm load is therefore bit-identical to the cold build
+unpickles; the ``Delaunay`` arrays are also checked for layout and index
+ranges before scipy walks them).  A warm load is therefore bit-identical to the cold build
 (coverage digests are part of the paper pipeline's contract).  Hull
 payloads carry a format token naming the payload version and the scipy
 and numpy versions that wrote them; a payload from any other build is
@@ -48,7 +49,6 @@ row straight into sqlite.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import sqlite3
 import zipfile
@@ -237,7 +237,10 @@ class CoverageStore(SqliteStoreMixin):
         if found == 1:
             # In-place v1 -> v2 migration: the nullable hull column.
             # Existing rows start without hull state and gain it on
-            # their next load.
+            # their next load.  Take the write lock before looking at
+            # the columns: another process opening the same v1 store
+            # may be adding the column right now.
+            conn.execute("BEGIN IMMEDIATE")
             columns = {
                 row[1] for row in conn.execute("PRAGMA table_info(clouds)")
             }
@@ -325,29 +328,12 @@ class CoverageStore(SqliteStoreMixin):
             return
         payload = _encode_hulls(state, kmax)
         try:
-            if hasattr(conn, "blobopen"):
-                # Stream into a zero-filled blob: binding the payload as
-                # a parameter would hold two more transient copies of it.
-                row = conn.execute(
-                    "SELECT rowid FROM clouds WHERE key = ?", (key,)
-                ).fetchone()
-                if row is not None:
-                    conn.execute(
-                        "UPDATE clouds SET hulls = zeroblob(?) WHERE rowid = ?",
-                        (len(payload), row[0]),
-                    )
-                    with conn.blobopen("clouds", "hulls", row[0]) as blob:
-                        blob.write(payload)
-            else:  # pragma: no cover - Python < 3.11
-                conn.execute(
-                    "UPDATE clouds SET hulls = ? WHERE key = ?", (payload, key)
-                )
+            conn.execute(
+                "UPDATE clouds SET hulls = ? WHERE key = ?", (payload, key)
+            )
             conn.commit()
         except sqlite3.Error:
-            # A lost write is only a future re-assembly; never leave a
-            # zero-filled blob pending for a later commit.
-            with contextlib.suppress(sqlite3.Error):
-                conn.rollback()
+            pass  # A lost write is only a future re-assembly.
 
     # -- cloud tier ----------------------------------------------------------
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import io
 import sqlite3
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ import test_passes
 from repro.circuits.workloads import get_workload
 from repro.cli import main
 from repro.core.coverage import (
+    RegionHull,
     _assemble_coverage,
     _hull_state,
     build_coverage_set,
@@ -179,6 +182,18 @@ def _undecodable(path) -> None:
     _set_hull_payload(path, b"PK\x03\x04 truncated, not an npz archive")
 
 
+def _out_of_range_simplices(path) -> None:
+    """A payload whose Delaunay points past the end of its point array."""
+    with np.load(io.BytesIO(_hull_payload(path)), allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    name = next(n for n in arrays if n.endswith(".delaunay.simplices"))
+    arrays[name] = arrays[name].copy()
+    arrays[name][0, 0] = 1 << 30
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    _set_hull_payload(path, buffer.getvalue())
+
+
 def _fewer_k(path) -> None:
     store = CoverageStore(path=path)
     clouds = store.get_clouds(SMALL_KEY, 2)
@@ -189,8 +204,8 @@ def _fewer_k(path) -> None:
 
 class TestStaleHullsFallBack:
     @pytest.mark.parametrize(
-        "damage", [_stale_token, _undecodable, _fewer_k],
-        ids=["token-mismatch", "undecodable", "fewer-k"],
+        "damage", [_stale_token, _undecodable, _fewer_k, _out_of_range_simplices],
+        ids=["token-mismatch", "undecodable", "fewer-k", "bad-simplices"],
     )
     def test_reassembles_and_overwrites(self, tmp_path, damage):
         path = tmp_path / "coverage.sqlite"
@@ -212,6 +227,64 @@ class TestStaleHullsFallBack:
         haar = haar_coordinate_samples(500, seed=5)
         _same_membership(cold, rebuilt, haar)
         _same_membership(cold, reloaded, haar)
+
+
+def _set(name, value):
+    return lambda state: state.__setitem__(name, value(state))
+
+
+def _shifted(name, delta):
+    return _set(name, lambda state: state[name] + np.asarray(delta, state[name].dtype))
+
+
+def _poke(name, index, value):
+    def corrupt(state):
+        array = state[name].copy()
+        array[index] = value
+        state[name] = array
+
+    return corrupt
+
+
+#: Tampered hull states that from_state must refuse before scipy sees them.
+CORRUPTIONS = {
+    "simplex-past-points": _poke("delaunay.simplices", (3, 2), 10**6),
+    "negative-simplex": _poke("delaunay.simplices", (0, 0), -1),
+    "neighbor-past-simplices": _set(
+        "delaunay.neighbors", lambda s: np.full_like(s["delaunay.neighbors"], 10**6)
+    ),
+    "neighbor-below-minus-one": _poke("delaunay.neighbors", (1, 1), -2),
+    "coplanar-past-points": _set(
+        "delaunay.coplanar",
+        lambda s: np.array([[10**6, 0, 0]], s["delaunay.coplanar"].dtype),
+    ),
+    "npoints-too-large": _shifted("delaunay.npoints", 1),
+    "nsimplex-too-large": _shifted("delaunay.nsimplex", 1),
+    "ndim-off-rank": _shifted("delaunay.ndim", -1),
+    "wrong-dtype": _set(
+        "delaunay.simplices", lambda s: s["delaunay.simplices"].astype(np.int64)
+    ),
+    "unknown-field": _set("delaunay.extra", lambda s: np.zeros(3)),
+    "lazy-field-stored": _set(
+        "delaunay._transform", lambda s: np.zeros((1, 4, 3))
+    ),
+    "missing-field": lambda state: state.pop("delaunay.neighbors"),
+    "facets-off-rank": _set("facets", lambda s: s["facets"][:, :-1]),
+}
+
+
+class TestHullStateValidation:
+    @pytest.fixture(scope="class")
+    def state(self):
+        points = np.random.default_rng(11).uniform(0, 1, (300, 3))
+        return RegionHull(points).state()
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+    def test_tampered_state_is_refused(self, state, corrupt):
+        tampered = dict(state)
+        corrupt(tampered)
+        with pytest.raises(ValueError):
+            RegionHull.from_state(tampered)
 
 
 def _v1_store(path, clouds) -> None:
@@ -262,6 +335,35 @@ class TestSchemaMigration:
             conn.close()
         assert schema == "2"
         assert "hulls" in columns
+
+    def test_concurrent_open_of_v1_store(self, tmp_path, rng):
+        """A second process opening the store mid-migration stays persistent."""
+        path = tmp_path / "coverage.sqlite"
+        clouds = self._clouds(rng)
+        _v1_store(path, clouds)
+        other = sqlite3.connect(path, isolation_level=None)
+        other.execute("PRAGMA journal_mode=WAL")
+        # The other opener holds the write lock, about to add the column.
+        other.execute("BEGIN IMMEDIATE")
+        seen = {}
+
+        def open_store():
+            store = CoverageStore(path=path)
+            seen["clouds"] = store.get_clouds("v1-key", 2)
+            seen["persistent"] = store.persistent
+            store.close()
+
+        thread = threading.Thread(target=open_store)
+        thread.start()
+        time.sleep(0.5)  # let the store reach the migration
+        other.execute("ALTER TABLE clouds ADD COLUMN hulls BLOB")
+        other.execute("UPDATE meta SET value = '2' WHERE key = 'schema'")
+        other.execute("COMMIT")
+        other.close()
+        thread.join(timeout=60)
+        assert seen["persistent"]  # not degraded to memory-only
+        for original, restored in zip(clouds, seen["clouds"]):
+            assert np.array_equal(original, restored)
 
     def test_v1_store_merges_via_cli(self, tmp_path, rng, capsys):
         source = tmp_path / "v1.sqlite"
@@ -335,19 +437,49 @@ def _load_through_hull_tier(spec, path):
     return loaded, store, key
 
 
-@pytest.fixture(
-    scope="module", params=DEFAULT_SPECS, ids=lambda spec: "-".join(map(str, spec))
-)
-def loaded_and_fresh(request, default_store_path):
-    """(loaded-from-hulls, freshly assembled, clouds) for one default set."""
-    basis, kmax, parallel = request.param
-    loaded, store, key = _load_through_hull_tier(
-        request.param, default_store_path
-    )
-    clouds = store.get_clouds(key, kmax)
-    assert clouds is not None
-    fresh = _assemble_coverage(basis, parallel, clouds)
-    return loaded, fresh, clouds
+@pytest.fixture(scope="module")
+def round_trips(default_store_path, tmp_path_factory):
+    """(loaded-from-hulls, freshly assembled, clouds) per parity subject.
+
+    Each subject is loaded and re-assembled once and shared by every
+    test of the module.  ``"small"`` is the seconds-cheap preset; the
+    rule engines' default sets need ~3 min of cold sampling when the
+    coverage cache is off, so their tests are marked slow.
+    """
+    made = {}
+
+    def get(subject):
+        if subject not in made:
+            if subject == "small":
+                path = tmp_path_factory.mktemp("small-hulls") / "c.sqlite"
+                build_coverage_set(store=CoverageStore(path=path), **SMALL)
+                store = CoverageStore(path=path)
+                loaded = build_coverage_set(store=store, **SMALL)
+                assert store.stats.hull_hits == 1
+                key, basis, kmax, parallel = SMALL_KEY, "hull_test", 2, False
+            else:
+                loaded, store, key = _load_through_hull_tier(
+                    subject, default_store_path
+                )
+                basis, kmax, parallel = subject
+            clouds = store.get_clouds(key, kmax)
+            assert clouds is not None
+            fresh = _assemble_coverage(basis, parallel, clouds)
+            made[subject] = (loaded, fresh, clouds)
+        return made[subject]
+
+    return get
+
+
+PARITY_SUBJECTS = [pytest.param("small", id="small")] + [
+    pytest.param(spec, id="-".join(map(str, spec)), marks=pytest.mark.slow)
+    for spec in DEFAULT_SPECS
+]
+
+
+@pytest.fixture(scope="module", params=PARITY_SUBJECTS)
+def loaded_and_fresh(request, round_trips):
+    return round_trips(request.param)
 
 
 class TestLoadedHullParity:
@@ -377,9 +509,10 @@ class TestLoadedHullParity:
             assert np.array_equal(ours[name], theirs[name]), name
 
 
-def test_baseline_facet_decisions_survive_reload(default_store_path):
+@pytest.mark.slow
+def test_baseline_facet_decisions_survive_reload(round_trips):
     """The non-monotone on-facet decisions a facet test would lose."""
-    loaded, _, _ = _load_through_hull_tier(DEFAULT_SPECS[0], default_store_path)
+    loaded, _, _ = round_trips(DEFAULT_SPECS[0])
     cnot = named_gate_coordinates("CNOT")
     sqrt_cnot = named_gate_coordinates("sqrt_CNOT")
     assert loaded.coverage_for(2).contains(cnot)[0]
@@ -388,12 +521,9 @@ def test_baseline_facet_decisions_survive_reload(default_store_path):
 
 
 @pytest.fixture(scope="module")
-def warm_hull_rules(default_store_path):
+def warm_hull_rules(round_trips):
     """Both default rule engines over sets loaded from the hull tier."""
-    sets = {
-        spec: _load_through_hull_tier(spec, default_store_path)[0]
-        for spec in DEFAULT_SPECS
-    }
+    sets = {spec: round_trips(spec)[0] for spec in DEFAULT_SPECS}
     baseline = BaselineSqrtISwapRules(coverage=sets[DEFAULT_SPECS[0]])
     parallel = ParallelSqrtISwapRules(
         iswap_parallel_k1=sets[DEFAULT_SPECS[1]].coverage_for(1),
@@ -403,6 +533,7 @@ def warm_hull_rules(default_store_path):
     return {"baseline": baseline, "parallel": parallel}
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("workload", ["ghz", "qft"])
 @pytest.mark.parametrize("engine", ["baseline", "parallel"])
 def test_pinned_digests_on_warm_hull_store(workload, engine, warm_hull_rules):

@@ -297,22 +297,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"({'drain' if args.drain else 'immediate'})"
         )
         return 0
-    if args.shards > 1:
-        from .service import serve_sharded
-
-        return serve_sharded(
-            host=args.host,
-            port=args.port,
-            shards=args.shards,
-            merge_on_drain=args.merge_on_drain,
-            workers=args.workers,
-            use_cache=args.cache,
-            cache_path=args.cache_path,
-            retries=args.retries,
-            queue_path=args.queue,
-            results_path=args.results_db,
-        )
-    return serve(
+    options = dict(
         host=args.host,
         port=args.port,
         workers=args.workers,
@@ -322,36 +307,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_path=args.queue,
         results_path=args.results_db,
     )
+    if args.shards > 1:
+        from .service import serve_sharded
+
+        return serve_sharded(
+            shards=args.shards, merge_on_drain=args.merge_on_drain, **options
+        )
+    return serve(**options)
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
     """Run a standalone digest-range router over already-running shards."""
-    import asyncio
+    from .service import ShardRouter
 
-    from .service import ShardRouter, shard_ranges
-
-    router = ShardRouter(
+    ShardRouter(
         args.shard, host=args.host, port=args.port, timeout=args.timeout
-    )
-    ranges = shard_ranges(len(args.shard))
-
-    def announce(r) -> None:
-        print(
-            f"repro shard router listening on http://{r.host}:{r.port} "
-            f"({len(args.shard)} shards)",
-            flush=True,
-        )
-        for index, url in enumerate(args.shard):
-            print(
-                f"  shard {index}: {url} owns digests "
-                f"{ranges[index].label}",
-                flush=True,
-            )
-
-    try:
-        asyncio.run(router.run(ready_callback=announce))
-    except KeyboardInterrupt:
-        print("repro route: interrupted, stopping", flush=True)
+    ).serve_forever("repro route")
     return 0
 
 
@@ -1105,13 +1076,6 @@ def main(argv: list[str] | None = None) -> int:
              "dedup, streaming results, and crash-safe requeue)",
     )
     serve_parser.add_argument(
-        "--host", default="127.0.0.1", help="bind address"
-    )
-    serve_parser.add_argument(
-        "--port", type=int, default=8234,
-        help="bind port (0 = OS-assigned)",
-    )
-    serve_parser.add_argument(
         "--workers", type=int, default=2,
         help="max concurrently running job processes",
     )
@@ -1184,16 +1148,17 @@ def main(argv: list[str] | None = None) -> int:
              "order (shard i owns range i of N)",
     )
     route_parser.add_argument(
-        "--host", default="127.0.0.1", help="bind address"
-    )
-    route_parser.add_argument(
-        "--port", type=int, default=8234,
-        help="bind port (0 = OS-assigned)",
-    )
-    route_parser.add_argument(
         "--timeout", type=float, default=120.0,
         help="per-read timeout on shard streams, seconds",
     )
+    for front_parser in (serve_parser, route_parser):
+        front_parser.add_argument(
+            "--host", default="127.0.0.1", help="bind address"
+        )
+        front_parser.add_argument(
+            "--port", type=int, default=8234,
+            help="bind port (0 = OS-assigned)",
+        )
 
     store_parser = sub.add_parser(
         "store",

@@ -7,9 +7,7 @@ suites best-of-N per circuit.  This package turns those one-off
 * :mod:`repro.service.jobs`   — :class:`CompileJob` / :class:`CompileResult`
   descriptions with JSON round-trip, so suites can be queued, shipped to
   workers, and archived.  Jobs name a hardware target from
-  :mod:`repro.targets` (the legacy ``coupling`` tuple deserializes via
-  a deprecation shim — see the :mod:`repro.service.jobs` docstring for
-  the migration and removal horizon);
+  :mod:`repro.targets`;
 * :mod:`repro.service.cache`  — :class:`DecompositionCache`, an LRU-fronted
   sqlite store of 2Q decomposition templates keyed by canonical Weyl
   coordinates, shared by every worker and persisted across runs;
@@ -18,16 +16,19 @@ suites best-of-N per circuit.  This package turns those one-off
   callbacks, plus :class:`ResultStore` aggregation and the named job
   :data:`SUITES`;
 * :mod:`repro.service.coverage_store` — :class:`CoverageStore`, the
-  LRU-fronted sqlite store of coverage-set point clouds the synthesis
-  engine rides (replacing the legacy per-directory ``.npz`` memo);
-* :mod:`repro.service.server` / :mod:`repro.service.client` — the
-  network tier: :class:`CompileServer`, an asyncio job server with
-  digest dedup, a crash-safe :class:`PersistentJobQueue`, streaming
-  ndjson results, and bounded worker requeue; :class:`ServiceClient`,
-  the blocking submit/stream client behind ``repro batch --submit``;
-* :mod:`repro.service.router` — the sharded tier: :class:`ShardRouter`
-  partitions the digest keyspace into contiguous ranges across N
-  independent shard servers (``repro serve --shards N``), and
+  LRU-fronted sqlite store of coverage-set point clouds and their
+  assembled hull state that the synthesis engine rides;
+* :mod:`repro.service.front` / :mod:`repro.service.server` /
+  :mod:`repro.service.client` — the network tier: one HTTP front
+  (request loop, endpoints, submit validation, ndjson framing) under
+  :class:`CompileServer`, an asyncio job server with digest dedup, a
+  crash-safe :class:`PersistentJobQueue`, and bounded worker requeue;
+  :class:`ServiceClient`, the blocking submit/stream client behind
+  ``repro batch --submit``;
+* :mod:`repro.service.router` — the sharded tier: :class:`ShardRouter`,
+  the same front over routing instead of admission, partitions the
+  digest keyspace into contiguous ranges across N independent shard
+  servers (``repro serve --shards N``), and
   :func:`merge_shard_stores` folds shard result partitions back into
   one canonical store;
 * :mod:`repro.service.store_base` — :class:`SqliteStoreMixin`, the one

@@ -62,7 +62,8 @@ import time
 from collections.abc import Iterator, Sequence
 from urllib.parse import urlsplit
 
-from ..obs import metrics, trace
+from ..obs import trace
+from .engine import absorb_freight
 from .jobs import CompileJob, CompileResult
 
 __all__ = [
@@ -341,8 +342,12 @@ class ServiceClient:
                             "range": event.get("range"),
                         }
                     )
-                elif kind == "result":
-                    self._absorb_freight(event, server_pid)
+                elif kind == "result" and event.get("freight"):
+                    # An in-process server shares this process's tracer
+                    # and registry; absorbing its freight would count
+                    # everything twice.
+                    if server_pid != os.getpid():
+                        absorb_freight(event["freight"])
                 yield event
                 if kind == "done":
                     # Drain the terminal chunk so http.client marks
@@ -366,24 +371,6 @@ class ServiceClient:
                     self._local.conn = None
                 if stream_conn is not None:
                     stream_conn.close()
-
-    def _absorb_freight(
-        self, event: dict, server_pid: int | None
-    ) -> None:
-        """Stitch a result's telemetry into this process — once.
-
-        An in-process server (``server_pid == os.getpid()``) already
-        shares this process's tracer and metrics registry; absorbing
-        its forwarded freight would double-count, so only freight from
-        a genuinely remote server is merged.
-        """
-        freight = event.get("freight")
-        if not freight or server_pid == os.getpid():
-            return
-        trace.TRACER.absorb(freight.get("spans", ()))
-        delta = freight.get("metrics")
-        if delta:
-            metrics.REGISTRY.merge_snapshot(delta)
 
     def submit(
         self, jobs: Sequence[CompileJob], priority: int = 0

@@ -27,6 +27,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import sqlite3
 import time
 import traceback
@@ -45,13 +46,53 @@ __all__ = [
     "ResultStore",
     "ResultStoreError",
     "SUITES",
+    "absorb_freight",
     "execute_job",
     "fan_out",
     "record_job_retry",
     "record_job_settled",
     "run_with_freight",
+    "start_worker",
     "suite_jobs",
 ]
+
+
+def _worker_context():
+    """Fork where the platform has it, spawn elsewhere."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context("spawn")
+
+
+def _restore_default_sigterm() -> None:
+    """Worker start: drop the SIGTERM handler a fork inherits.
+
+    A parent's handler that raises (``SystemExit`` from a harness's
+    cleanup hook, say) would turn a terminate into an exception in the
+    middle of the worker's teardown, which can wedge ``Pool.terminate()``.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _worker_main(target, args: tuple) -> None:
+    _restore_default_sigterm()
+    target(*args)
+
+
+def start_worker(target, *args, daemon: bool = True):
+    """Start ``target(conn, *args)`` in a worker process, as :func:`fan_out` pools do.
+
+    ``conn`` is the sending end of a one-way pipe; returns the process
+    and the receiving end.
+    """
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    process = _worker_context().Process(
+        target=_worker_main, args=(target, (sender, *args)), daemon=daemon
+    )
+    process.start()
+    sender.close()
+    return process, receiver
 
 
 def fan_out(function, payloads: Sequence, workers: int) -> Iterator:
@@ -64,18 +105,18 @@ def fan_out(function, payloads: Sequence, workers: int) -> Iterator:
     the synthesis engine's multi-start refinements ride it, so pooling
     discipline (fork safety, streaming, worker-count invariance of the
     result set) lives in exactly one place.  ``function`` must be a
-    module-level callable and payloads picklable.
+    module-level callable and payloads picklable.  Pool workers start
+    with the default SIGTERM disposition, like :func:`start_worker`'s.
     """
     payloads = list(payloads)
     if workers <= 1 or len(payloads) <= 1:
         for payload in payloads:
             yield function(payload)
         return
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        context = multiprocessing.get_context("spawn")
-    with context.Pool(processes=min(workers, len(payloads))) as pool:
+    with _worker_context().Pool(
+        processes=min(workers, len(payloads)),
+        initializer=_restore_default_sigterm,
+    ) as pool:
         yield from pool.imap_unordered(function, payloads)
 
 #: Paper Table VII / Fig. 3b benchmark order.
@@ -325,6 +366,23 @@ def run_with_freight(
     return result, freight
 
 
+def absorb_freight(freight: dict) -> None:
+    """Merge another process's freight into this process's telemetry.
+
+    The receiving end of :func:`run_with_freight`: spans go to the
+    tracer, the metrics delta to the registry, stack samples to the
+    profiler.  Callers skip freight this process recorded itself (it
+    is already here); each keeps its own same-process check.
+    """
+    trace.TRACER.absorb(freight.get("spans", ()))
+    delta = freight.get("metrics")
+    if delta:
+        metrics.REGISTRY.merge_snapshot(delta)
+    samples = freight.get("profile")
+    if samples:
+        obs_profile.PROFILER.absorb(samples)
+
+
 def record_job_retry(count: int = 1) -> None:
     """Count a retry decision (one per re-attempted execution).
 
@@ -457,13 +515,7 @@ class BatchEngine:
             _execute_payload, self._payloads(indexed), pool_size
         ):
             if freight.get("pid") != pid:
-                trace.TRACER.absorb(freight.get("spans", ()))
-                delta = freight.get("metrics")
-                if delta:
-                    metrics.REGISTRY.merge_snapshot(delta)
-                samples = freight.get("profile")
-                if samples:
-                    obs_profile.PROFILER.absorb(samples)
+                absorb_freight(freight)
             yield index, result
 
     def _cache_covers(self, jobs: Sequence[CompileJob]) -> bool:

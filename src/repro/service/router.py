@@ -50,28 +50,19 @@ canonical ``--results-db`` via :meth:`ResultStore.merge`.
 from __future__ import annotations
 
 import asyncio
-import json
-import multiprocessing
+import functools
 import os
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..obs import metrics, trace
+from ..obs import metrics
 from .client import ServiceClient, ServiceError
-from .engine import ResultMergeError, ResultStore
+from .engine import ResultMergeError, ResultStore, start_worker
+from .front import FrontThread, HttpFront, new_span_id, service_span
 from .jobs import CompileJob, CompileResult
-from .server import (
-    _SPAN_IDS,
-    CompileServer,
-    _end_event_stream,
-    _read_http_request,
-    _start_event_stream,
-    _write_json_response,
-    _write_stream_event,
-)
+from .server import CompileServer
 
 __all__ = [
     "DigestRange",
@@ -89,6 +80,9 @@ __all__ = [
 #: shard count while keeping range labels human-readable.
 _PREFIX_DIGITS = 4
 _KEYSPACE = 16**_PREFIX_DIGITS
+
+#: LRU capacity of the router-level result memo (successful results).
+_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -156,7 +150,7 @@ def shard_store_path(path: str | Path | None, shard: int) -> str | None:
     return str(path.with_name(f"{path.stem}.shard{shard}{path.suffix}"))
 
 
-class ShardRouter:
+class ShardRouter(HttpFront):
     """Route compile submissions across digest-range shard servers.
 
     Args:
@@ -165,9 +159,9 @@ class ShardRouter:
         host/port: the router's own bind address (``port=0`` → OS
             pick, resolved after startup).
         timeout: per-read timeout on shard streams, seconds.
-        memo_size: LRU capacity of the router-level result memo
-            (successful results only; 0 disables it).
     """
+
+    _label = "router"
 
     def __init__(
         self,
@@ -175,17 +169,14 @@ class ShardRouter:
         host: str = "127.0.0.1",
         port: int = 0,
         timeout: float = 120.0,
-        memo_size: int = 256,
     ):
         if not shard_urls:
             raise ValueError("router needs at least one shard URL")
+        super().__init__(host, port)
         self.shard_urls = list(shard_urls)
         self.count = len(self.shard_urls)
         self.ranges = shard_ranges(self.count)
-        self.host = host
-        self.port = int(port)
         self.timeout = float(timeout)
-        self.memo_size = int(memo_size)
         self._memo: OrderedDict[str, dict] = OrderedDict()
         # Down-shard dials must fail fast: the stranded jobs' failure
         # results are blocking the client's stream.
@@ -196,34 +187,8 @@ class ShardRouter:
             )
             for url in self.shard_urls
         ]
-        self._accepting = False
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._connections: set = set()
 
     # -- lifecycle -----------------------------------------------------------
-
-    async def run(self, ready_callback=None) -> None:
-        """Serve until :meth:`shutdown` fires (the main coroutine)."""
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        self._accepting = True
-        server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = server.sockets[0].getsockname()[1]
-        if ready_callback is not None:
-            ready_callback(self)
-        try:
-            await self._stop_event.wait()
-        finally:
-            self._accepting = False
-            for conn in list(self._connections):
-                conn.close()
-            server.close()
-            await server.wait_closed()
-            for client in self._clients:
-                client.close()
 
     async def shutdown(self, drain: bool = True, stop_shards: bool = False) -> None:
         """Stop the router, optionally fanning shutdown out to shards.
@@ -235,110 +200,54 @@ class ShardRouter:
         """
         self._accepting = False
         if stop_shards:
-            loop = asyncio.get_running_loop()
-
-            async def stop_one(index: int) -> None:
-                try:
-                    await loop.run_in_executor(
-                        None, lambda: self._clients[index].shutdown(drain)
-                    )
-                except ServiceError:
-                    pass  # Already down — that's a stopped shard too.
-
-            await asyncio.gather(
-                *(stop_one(index) for index in range(self.count))
+            # A shard that is already down counts as stopped.
+            await self._each_shard(
+                lambda client: client.shutdown(drain), lambda exc: None
             )
-        if self._stop_event is not None:
-            self._stop_event.set()
+        self._stop()
+
+    async def _each_shard(self, call, on_error) -> list:
+        """``call(client)`` on every shard at once, results in shard order.
+
+        Runs on executor threads (the shard client is blocking); a shard
+        raising :class:`ServiceError` contributes ``on_error(exc)``.
+        """
+        loop = asyncio.get_running_loop()
+
+        async def one(client: ServiceClient):
+            try:
+                return await loop.run_in_executor(None, call, client)
+            except ServiceError as exc:
+                return on_error(exc)
+
+        return await asyncio.gather(*(one(c) for c in self._clients))
+
+    def _on_shutdown_request(self, drain: bool):
+        # One POST /v1/shutdown at the router stops the whole topology.
+        return (
+            {"ok": True, "drain": drain, "router": True},
+            self.shutdown(drain=drain, stop_shards=True),
+        )
+
+    def announce(self) -> None:
+        print(
+            f"repro shard router listening on {self.url} "
+            f"({self.count} shards)",
+            flush=True,
+        )
+        for range_, url in zip(self.ranges, self.shard_urls):
+            print(
+                f"  shard {range_.shard}: {url} owns digests {range_.label}",
+                flush=True,
+            )
 
     # -- HTTP ----------------------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                request = await _read_http_request(reader)
-                if request is None:
-                    break
-                method, path, body = request
-                if method == "GET" and path == "/v1/health":
-                    await _write_json_response(writer, 200, await self._health())
-                elif method == "GET" and path == "/v1/metrics":
-                    await _write_json_response(
-                        writer, 200, metrics.REGISTRY.snapshot()
-                    )
-                elif method == "POST" and path == "/v1/shutdown":
-                    payload = json.loads(body or b"{}")
-                    drain = bool(payload.get("drain", True))
-                    await _write_json_response(
-                        writer, 200,
-                        {"ok": True, "drain": drain, "router": True},
-                    )
-                    asyncio.ensure_future(
-                        self.shutdown(drain=drain, stop_shards=True)
-                    )
-                    break
-                elif method == "POST" and path == "/v1/submit":
-                    await self._handle_submit(writer, body)
-                else:
-                    await _write_json_response(
-                        writer, 404, {"error": f"no route {method} {path}"}
-                    )
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,
-        ):
-            pass
-        except asyncio.CancelledError:
-            # Loop teardown cancelled an idle keep-alive handler;
-            # returning (not re-raising) keeps shutdown quiet.
-            pass
-        except Exception as exc:  # noqa: BLE001 - report, don't crash router
-            try:
-                await _write_json_response(
-                    writer, 500, {"error": f"{type(exc).__name__}: {exc}"}
-                )
-            except OSError:
-                pass
-        finally:
-            self._connections.discard(writer)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (OSError, ConnectionResetError):
-                pass
+    def _hello_fields(self) -> dict:
+        return {"router": True, "shards": self.count}
 
-    async def _handle_submit(self, writer, body: bytes) -> None:
-        if not self._accepting:
-            await _write_json_response(
-                writer, 503, {"error": "router is draining/stopped"}
-            )
-            return
-        try:
-            payload = json.loads(body or b"{}")
-            jobs = [
-                CompileJob.from_dict(item)
-                for item in payload.get("jobs", [])
-            ]
-            priority = int(payload.get("priority", 0))
-        except (ValueError, TypeError, KeyError) as exc:
-            await _write_json_response(
-                writer, 400, {"error": f"bad submission: {exc}"}
-            )
-            return
-        if not jobs:
-            await _write_json_response(
-                writer, 400, {"error": "submission carries no jobs"}
-            )
-            return
+    async def _serve_submission(self, jobs, priority, emit) -> None:
         metrics.counter("repro.service.router.submissions").inc()
-        await _start_event_stream(writer)
-        await _write_stream_event(
-            writer,
-            {"event": "hello", "server_pid": os.getpid(),
-             "count": len(jobs), "router": True, "shards": self.count},
-        )
         settled = 0
         groups: dict[int, list[tuple[int, CompileJob]]] = {}
         for index, job in enumerate(jobs):
@@ -346,15 +255,13 @@ class ShardRouter:
             memo = self._memo_get(digest)
             if memo is not None:
                 metrics.counter("repro.service.router.dedup_hits").inc()
-                await _write_stream_event(
-                    writer,
+                await emit(
                     {"event": "accepted", "index": index, "key": digest,
-                     "status": "dedup_router"},
+                     "status": "dedup_router"}
                 )
-                await _write_stream_event(
-                    writer,
+                await emit(
                     {"event": "result", "index": index, "key": digest,
-                     "ok": True, "dedup": True, "result": memo},
+                     "ok": True, "dedup": True, "result": memo}
                 )
                 settled += 1
                 continue
@@ -385,11 +292,7 @@ class ShardRouter:
                 metrics.counter(
                     f"repro.service.shard.{event['shard']}.errors"
                 ).inc()
-            await _write_stream_event(writer, event)
-        await _write_stream_event(
-            writer, {"event": "done", "count": len(jobs)}
-        )
-        await _end_event_stream(writer)
+            await emit(event)
 
     # -- forwarding (executor threads) ---------------------------------------
 
@@ -410,7 +313,7 @@ class ShardRouter:
         context = next(
             (job.trace for _, job in group if job.trace is not None), None
         )
-        span_id = f"{os.getpid():x}-r{next(_SPAN_IDS):x}"
+        span_id = new_span_id("r")
         forwarded = []
         for _, job in group:
             if job.trace is not None:
@@ -434,11 +337,16 @@ class ShardRouter:
                     event = {**event, "index": orig, "shard": shard}
                     if kind == "result":
                         done_indices.add(orig)
-                        if len(done_indices) == len(group):
-                            event = self._with_route_span(
-                                event, context, span_id, start, range_,
-                                len(group),
-                            )
+                        if (
+                            len(done_indices) == len(group)
+                            and context is not None
+                        ):
+                            event = _with_span(event, service_span(
+                                "service.route", context, start,
+                                {"shard": shard, "range": range_.label,
+                                 "jobs": len(group)},
+                                span_id=span_id,
+                            ))
                 emit(event)
         except ServiceError as exc:
             emit(
@@ -464,41 +372,6 @@ class ShardRouter:
                      "result": failure.to_dict()}
                 )
 
-    def _with_route_span(
-        self,
-        event: dict,
-        context: dict | None,
-        span_id: str,
-        start: float,
-        range_: DigestRange,
-        group_size: int,
-    ) -> dict:
-        """Attach the group's ``service.route`` span to result freight."""
-        if context is None:
-            return event
-        span = trace.Span(
-            name="service.route",
-            trace_id=context.get("trace_id", ""),
-            span_id=span_id,
-            parent_id=context.get("parent_id"),
-            start=start,
-            duration=time.perf_counter() - start,
-            pid=os.getpid(),
-            attrs={
-                "shard": range_.shard,
-                "range": range_.label,
-                "jobs": group_size,
-            },
-        )
-        if trace.TRACER.enabled:
-            trace.TRACER.spans.append(span)
-        freight = dict(
-            event.get("freight")
-            or {"pid": os.getpid(), "spans": [], "metrics": {}}
-        )
-        freight["spans"] = list(freight.get("spans", ())) + [span.to_dict()]
-        return {**event, "freight": freight}
-
     # -- memo ----------------------------------------------------------------
 
     def _memo_get(self, digest: str) -> dict | None:
@@ -508,32 +381,23 @@ class ShardRouter:
         return payload
 
     def _memo_put(self, event: dict) -> None:
-        if not self.memo_size or not event.get("ok"):
+        if not event.get("ok"):
             return
         key = event.get("key")
         if not key:
             return
         self._memo[key] = event["result"]
         self._memo.move_to_end(key)
-        while len(self._memo) > self.memo_size:
+        while len(self._memo) > _MEMO_SIZE:
             self._memo.popitem(last=False)
 
     # -- health --------------------------------------------------------------
 
     async def _health(self) -> dict:
         """Aggregate shard healths; a down shard degrades its range."""
-        loop = asyncio.get_running_loop()
-
-        async def one(index: int) -> dict:
-            try:
-                return await loop.run_in_executor(
-                    None, self._clients[index].health
-                )
-            except ServiceError as exc:
-                return {"status": "down", "error": str(exc)}
-
-        shard_health = list(
-            await asyncio.gather(*(one(index) for index in range(self.count)))
+        shard_health = await self._each_shard(
+            ServiceClient.health,
+            lambda exc: {"status": "down", "error": str(exc)},
         )
         degraded = [
             self.ranges[index].label
@@ -561,51 +425,19 @@ class ShardRouter:
         }
 
 
-class RouterThread:
-    """A :class:`ShardRouter` on a background thread (tests, benches).
+def _with_span(event: dict, span: dict) -> dict:
+    """``event`` with ``span`` appended to its result freight."""
+    freight = dict(
+        event.get("freight")
+        or {"pid": os.getpid(), "spans": [], "metrics": {}}
+    )
+    freight["spans"] = list(freight.get("spans", ())) + [span]
+    return {**event, "freight": freight}
 
-    Context manager, mirroring
-    :class:`~repro.service.server.ServerThread`.  Stopping is local to
-    the router — the shard servers' own lifecycles are untouched.
-    """
 
-    def __init__(self, shard_urls: list[str], **kwargs):
-        self.router = ShardRouter(shard_urls, **kwargs)
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.router.host}:{self.router.port}"
-
-    def start(self) -> "RouterThread":
-        self._thread = threading.Thread(
-            target=self._main, name="repro-route", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise RuntimeError("shard router failed to start in 30s")
-        return self
-
-    def _main(self) -> None:
-        asyncio.run(
-            self.router.run(ready_callback=lambda _r: self._ready.set())
-        )
-
-    def stop(self) -> None:
-        loop = self.router._loop
-        if loop is not None and loop.is_running():
-            asyncio.run_coroutine_threadsafe(
-                self.router.shutdown(stop_shards=False), loop
-            )
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-
-    def __enter__(self) -> "RouterThread":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
+#: A :class:`ShardRouter` on a background thread (tests, benches).
+#: Stopping it is local to the router; the shards keep running.
+RouterThread = functools.partial(FrontThread, ShardRouter)
 
 
 # -- supervisor ---------------------------------------------------------------
@@ -660,13 +492,8 @@ def serve_sharded(
     shard result partitions are folded into the canonical
     ``results_path`` store.
     """
-    try:
-        context_mp = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        context_mp = multiprocessing.get_context("spawn")
     procs = []
     for shard in range(shards):
-        receiver, sender = context_mp.Pipe(duplex=False)
         shard_kwargs = dict(
             kwargs,
             host=host,
@@ -675,12 +502,7 @@ def serve_sharded(
             results_path=shard_store_path(results_path, shard),
             cache_path=shard_store_path(cache_path, shard),
         )
-        process = context_mp.Process(
-            target=_run_shard, args=(sender, shard_kwargs), daemon=False
-        )
-        process.start()
-        sender.close()
-        procs.append((process, receiver))
+        procs.append(start_worker(_run_shard, shard_kwargs, daemon=False))
     urls = []
     for shard, (process, receiver) in enumerate(procs):
         if not receiver.poll(30):
@@ -688,25 +510,7 @@ def serve_sharded(
                 doomed.terminate()
             raise RuntimeError(f"shard {shard} failed to start in 30s")
         urls.append(f"http://{host}:{receiver.recv()}")
-    ranges = shard_ranges(shards)
-    router = ShardRouter(urls, host=host, port=port)
-
-    def announce(r: ShardRouter) -> None:
-        print(
-            f"repro shard router listening on http://{r.host}:{r.port} "
-            f"({shards} shards)",
-            flush=True,
-        )
-        for shard, url in enumerate(urls):
-            print(
-                f"  shard {shard}: {url} owns digests {ranges[shard].label}",
-                flush=True,
-            )
-
-    try:
-        asyncio.run(router.run(ready_callback=announce))
-    except KeyboardInterrupt:
-        print("repro serve: interrupted, stopping shards", flush=True)
+    if not ShardRouter(urls, host=host, port=port).serve_forever("repro serve"):
         for process, _ in procs:
             process.terminate()
     for process, _ in procs:

@@ -24,25 +24,16 @@ Workers below those tiers still share the persistent
 :class:`~repro.service.cache.DecompositionCache` and coverage store,
 so even a cold job reuses every previously-templated coordinate class.
 
-Protocol (newline-delimited JSON over HTTP/1.1, keep-alive): every
-connection serves requests in a loop until the client hangs up, so a
-:class:`~repro.service.client.ServiceClient` reuses one TCP connection
-across submissions instead of reconnecting per call.
-
-* ``POST /v1/submit`` — body ``{"jobs": [job payloads], "priority": n}``;
-  response streams one JSON object per line (``Transfer-Encoding:
-  chunked``, one chunk per event, a terminal zero-chunk after the last
-  — which is what lets ``http.client`` see the response end and reuse
-  the connection): ``hello``, per-job ``accepted`` / ``running`` /
-  ``requeued`` / ``result`` events, then ``done``.  ``result`` events
-  carry the serialized :class:`~repro.service.jobs.CompileResult` plus
-  observability freight (worker spans and metric deltas) so a traced
-  client renders one client → server → worker Perfetto timeline.
-* ``GET /v1/health`` — queue depth, inflight count, results held.
-* ``GET /v1/metrics`` — the server's metrics-registry snapshot.
-* ``POST /v1/shutdown`` — body ``{"drain": bool}``; drain finishes all
-  queued work first, non-drain leaves unfinished rows in the durable
-  queue for the next start (crash semantics, on purpose).
+Protocol: the shared :class:`~repro.service.front.HttpFront` (see
+there for transport and endpoints).  A submission streams ``hello``,
+per-job ``accepted`` / ``running`` / ``requeued`` / ``result`` events,
+then ``done``; ``result`` events carry the serialized
+:class:`~repro.service.jobs.CompileResult` plus observability freight
+(worker spans and metric deltas) so a traced client renders one
+client → server → worker Perfetto timeline.  Health reports queue
+depth, inflight count and results held.  Drain shutdown finishes all
+queued work first; non-drain leaves unfinished rows in the durable
+queue for the next start (crash semantics, on purpose).
 
 Trace context rides the network boundary exactly the way it rides the
 process boundary: jobs carry ``CompileJob.trace``, workers activate it,
@@ -63,12 +54,10 @@ few seconds, which keeps eligibility ordering trivially correct.
 from __future__ import annotations
 
 import asyncio
+import functools
 import heapq
 import itertools
-import json
-import multiprocessing
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -76,95 +65,18 @@ from pathlib import Path
 from ..obs import metrics, trace
 from .engine import (
     ResultStore,
+    absorb_freight,
     execute_job,
     record_job_retry,
     record_job_settled,
     run_with_freight,
+    start_worker,
 )
+from .front import FrontThread, HttpFront, service_span
 from .jobs import CompileJob, CompileResult
 from .queue import PersistentJobQueue
 
 __all__ = ["CompileServer", "ServerThread", "serve"]
-
-#: Environment override for the per-execution worker delay (seconds).
-#: A test/load-bench knob: lets lifecycle tests hold a job open long
-#: enough to SIGKILL its worker, and lets the QPS bench simulate heavy
-#: jobs, without touching job payloads.
-WORKER_DELAY_ENV = "REPRO_SERVICE_WORKER_DELAY"
-
-#: Distinct id stream for the server's hand-built ``service.job`` spans
-#: (kept out of the tracer's own counter so ids never collide).
-_SPAN_IDS = itertools.count(1)
-
-
-# -- HTTP plumbing (shared with the shard router) ----------------------------
-
-
-async def _read_http_request(reader):
-    """One request off a (possibly reused) connection, or ``None`` at EOF."""
-    line = await reader.readline()
-    if not line:
-        return None
-    parts = line.decode("latin-1").split()
-    if len(parts) < 2:
-        return None
-    method, path = parts[0].upper(), parts[1]
-    length = 0
-    while True:
-        header = await reader.readline()
-        if header in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = header.decode("latin-1").partition(":")
-        if name.strip().lower() == "content-length":
-            length = int(value.strip())
-    body = await reader.readexactly(length) if length else b""
-    return method, path, body
-
-
-async def _write_json_response(writer, status: int, payload: dict) -> None:
-    """One JSON control response; Content-Length keeps the conn reusable."""
-    body = json.dumps(payload).encode()
-    reason = {200: "OK", 404: "Not Found", 500: "Error",
-              503: "Unavailable", 400: "Bad Request"}.get(status, "OK")
-    writer.write(
-        f"HTTP/1.1 {status} {reason}\r\n"
-        "Content-Type: application/json\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        "Connection: keep-alive\r\n\r\n".encode() + body
-    )
-    await writer.drain()
-
-
-async def _start_event_stream(writer) -> None:
-    """Open a chunked ndjson response (one event per chunk follows)."""
-    writer.write(
-        b"HTTP/1.1 200 OK\r\n"
-        b"Content-Type: application/x-ndjson\r\n"
-        b"Cache-Control: no-store\r\n"
-        b"Transfer-Encoding: chunked\r\n"
-        b"Connection: keep-alive\r\n\r\n"
-    )
-    await writer.drain()
-
-
-async def _write_stream_event(writer, event: dict) -> None:
-    line = json.dumps(event).encode() + b"\n"
-    writer.write(f"{len(line):x}\r\n".encode() + line + b"\r\n")
-    await writer.drain()
-
-
-async def _end_event_stream(writer) -> None:
-    """Terminal zero-chunk: marks the stream finished for http.client."""
-    writer.write(b"0\r\n\r\n")
-    await writer.drain()
-
-
-def _env_worker_delay() -> float:
-    value = os.environ.get(WORKER_DELAY_ENV)
-    try:
-        return float(value) if value else 0.0
-    except ValueError:
-        return 0.0
 
 
 def _service_worker(conn, payload: tuple) -> None:
@@ -218,7 +130,7 @@ class _JobEntry:
             queue.put_nowait({**event, "index": index})
 
 
-class CompileServer:
+class CompileServer(HttpFront):
     """Async compile-job server over the batch-engine worker body.
 
     Args:
@@ -235,9 +147,9 @@ class CompileServer:
             → memory-only).
         results_path: sqlite path for the persistent result store that
             backs warm dedup across restarts (``None`` → memory-only).
-        worker_delay: artificial per-execution delay in seconds
-            (default: the ``REPRO_SERVICE_WORKER_DELAY`` env knob);
-            tests and load benches only.
+        worker_delay: artificial per-execution delay in seconds, so
+            lifecycle tests can hold a job open long enough to SIGKILL
+            its worker and load benches can simulate heavy jobs.
     """
 
     def __init__(
@@ -252,14 +164,13 @@ class CompileServer:
         backoff_cap: float = 5.0,
         queue_path: str | Path | None = None,
         results_path: str | Path | None = None,
-        worker_delay: float | None = None,
+        worker_delay: float = 0.0,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        self.host = host
-        self.port = int(port)
+        super().__init__(host, port)
         self.workers = int(workers)
         self.use_cache = bool(use_cache)
         self.cache_path = (
@@ -268,36 +179,23 @@ class CompileServer:
         self.retries = int(retries)
         self.backoff_base = float(backoff_base)
         self.backoff_cap = float(backoff_cap)
-        self.worker_delay = (
-            _env_worker_delay() if worker_delay is None else float(worker_delay)
-        )
+        self.worker_delay = float(worker_delay)
         self.queue = PersistentJobQueue(queue_path)
         self.results = ResultStore(path=results_path)
         self._inflight: dict[str, _JobEntry] = {}
         self._heap: list[tuple[int, int, str]] = []
         self._seq = itertools.count()
         self._tasks: set[asyncio.Task] = set()
-        self._accepting = False
-        self._draining = False
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
+        self._scheduler_task: asyncio.Task | None = None
         self._work_available: asyncio.Event | None = None
         self._slots: asyncio.Semaphore | None = None
         self._live_procs: set = set()
-        #: Open client writers — keep-alive connections idle between
-        #: requests must be force-closed at stop, or ``wait_closed``
-        #: (which waits on handlers since 3.12.1) would hang on them.
-        self._connections: set = set()
 
     # -- lifecycle -----------------------------------------------------------
 
-    async def run(self, ready_callback=None) -> None:
-        """Serve until :meth:`shutdown` completes (the main coroutine)."""
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
+    def _on_start(self) -> None:
         self._work_available = asyncio.Event()
         self._slots = asyncio.Semaphore(self.workers)
-        self._accepting = True
         for queued in self.queue.recover():
             # A previous process left these unfinished — crash-safe
             # requeue.  Attempt counts survive so the retry budget
@@ -312,29 +210,19 @@ class CompileServer:
                 ),
                 persist=False,
             )
-        server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = server.sockets[0].getsockname()[1]
-        scheduler = asyncio.create_task(self._scheduler())
-        if ready_callback is not None:
-            ready_callback(self)
-        try:
-            await self._stop_event.wait()
-        finally:
-            self._accepting = False
-            scheduler.cancel()
-            for task in list(self._tasks):
-                task.cancel()
-            for proc in list(self._live_procs):
-                if proc.is_alive():
-                    proc.terminate()
-            for conn in list(self._connections):
-                conn.close()
-            server.close()
-            await server.wait_closed()
-            self.results.close()
-            self.queue.close()
+        self._scheduler_task = asyncio.create_task(self._scheduler())
+
+    def _on_stop(self) -> None:
+        self._scheduler_task.cancel()
+        for task in list(self._tasks):
+            task.cancel()
+        for proc in list(self._live_procs):
+            if proc.is_alive():
+                proc.terminate()
+
+    def _on_closed(self) -> None:
+        self.results.close()
+        self.queue.close()
 
     async def shutdown(self, drain: bool = True) -> None:
         """Stop the server; with ``drain`` finish all admitted work first.
@@ -344,12 +232,19 @@ class CompileServer:
         ``queue_path`` recovers and finishes them.
         """
         self._accepting = False
-        self._draining = drain
         if drain:
             while self._inflight:
                 await asyncio.sleep(0.02)
-        if self._stop_event is not None:
-            self._stop_event.set()
+        self._stop()
+
+    def announce(self) -> None:
+        print(
+            f"repro compile service listening on {self.url} "
+            f"(workers={self.workers}, retries={self.retries}, "
+            f"queue={'durable' if self.queue.path else 'memory'}, "
+            f"results={'durable' if self.results.path else 'memory'})",
+            flush=True,
+        )
 
     # -- admission -----------------------------------------------------------
 
@@ -442,21 +337,10 @@ class CompileServer:
             context = trace.TRACER.current_context()
             if context is not None:
                 job = job.updated(trace=context.to_dict())
-        try:
-            context_mp = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context_mp = multiprocessing.get_context("spawn")
-        receiver, sender = context_mp.Pipe(duplex=False)
-        process = context_mp.Process(
-            target=_service_worker,
-            args=(
-                sender,
-                (job, self.use_cache, self.cache_path, self.worker_delay),
-            ),
-            daemon=True,
+        process, receiver = start_worker(
+            _service_worker,
+            (job, self.use_cache, self.cache_path, self.worker_delay),
         )
-        process.start()
-        sender.close()
         self._live_procs.add(process)
         entry.publish(
             {"event": "running", "key": entry.key, "pid": process.pid,
@@ -468,39 +352,6 @@ class CompileServer:
             )
         finally:
             self._live_procs.discard(process)
-
-    def _service_span(self, entry: _JobEntry, outcome: str) -> list[dict]:
-        """Hand-built ``service.job`` span for the forwarded freight.
-
-        Constructed explicitly (not via ``trace.span``) because
-        concurrent entries interleave in the tracer buffer, which
-        makes per-entry drain attribution racy; an explicit span is
-        exact.  It is appended to the server's own tracer too, so a
-        standalone ``repro serve`` export shows it — clients dedup by
-        span id before absorbing, which keeps in-process test servers
-        single-copy.
-        """
-        context = entry.job.trace
-        if context is None:
-            return []
-        span = trace.Span(
-            name="service.job",
-            trace_id=context.get("trace_id", ""),
-            span_id=f"{os.getpid():x}-s{next(_SPAN_IDS):x}",
-            parent_id=context.get("parent_id"),
-            start=entry.enqueued_at,
-            duration=time.perf_counter() - entry.enqueued_at,
-            pid=os.getpid(),
-            attrs={
-                "key": entry.key[:12],
-                "job": entry.job.label,
-                "attempts": entry.attempts,
-                "outcome": outcome,
-            },
-        )
-        if trace.TRACER.enabled:
-            trace.TRACER.spans.append(span)
-        return [span.to_dict()]
 
     async def _requeue(self, entry: _JobEntry, reason: str) -> None:
         """One requeue decision: durable state, metrics, event, backoff.
@@ -557,7 +408,8 @@ class CompileServer:
                 )
                 break
             result, freight = item
-            self._absorb_freight(freight)
+            if freight.get("pid") != os.getpid():
+                absorb_freight(freight)
             if not result.ok and entry.attempts <= self.retries:
                 await self._requeue(entry, "error")
                 continue
@@ -568,9 +420,13 @@ class CompileServer:
         if result.ok:
             self.results.add(result)
         spans = list(freight.get("spans", ()))
-        spans += self._service_span(
-            entry, "ok" if result.ok else "error"
-        )
+        if entry.job.trace is not None:
+            spans.append(service_span(
+                "service.job", entry.job.trace, entry.enqueued_at,
+                {"key": entry.key[:12], "job": entry.job.label,
+                 "attempts": entry.attempts,
+                 "outcome": "ok" if result.ok else "error"},
+            ))
         entry.publish(
             {"event": "result", "key": entry.key, "ok": result.ok,
              "dedup": False, "result": result.to_dict(),
@@ -583,119 +439,23 @@ class CompileServer:
         self._inflight.pop(entry.key, None)
         self._update_gauges()
 
-    def _absorb_freight(self, freight: dict) -> None:
-        """Merge a worker's freight into the server's own telemetry."""
-        if freight.get("pid") == os.getpid():
-            return
-        trace.TRACER.absorb(freight.get("spans", ()))
-        delta = freight.get("metrics")
-        if delta:
-            metrics.REGISTRY.merge_snapshot(delta)
-
     # -- HTTP ----------------------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
-        self._connections.add(writer)
-        try:
-            # Keep-alive: serve requests until the client hangs up (or
-            # asks for shutdown — terminal by construction).
-            while True:
-                request = await _read_http_request(reader)
-                if request is None:
-                    break
-                method, path, body = request
-                if method == "GET" and path == "/v1/health":
-                    await _write_json_response(writer, 200, self._health())
-                elif method == "GET" and path == "/v1/metrics":
-                    await _write_json_response(
-                        writer, 200, metrics.REGISTRY.snapshot()
-                    )
-                elif method == "POST" and path == "/v1/shutdown":
-                    payload = json.loads(body or b"{}")
-                    drain = bool(payload.get("drain", True))
-                    await _write_json_response(
-                        writer, 200, {"ok": True, "drain": drain}
-                    )
-                    asyncio.ensure_future(self.shutdown(drain=drain))
-                    break
-                elif method == "POST" and path == "/v1/submit":
-                    await self._handle_submit(writer, body)
-                else:
-                    await _write_json_response(
-                        writer, 404, {"error": f"no route {method} {path}"}
-                    )
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,
-        ):
-            pass  # Client went away; its jobs still run to completion.
-        except asyncio.CancelledError:
-            # Loop teardown cancelled an idle keep-alive handler;
-            # returning (not re-raising) keeps shutdown quiet.
-            pass
-        except Exception as exc:  # noqa: BLE001 - report, don't crash server
-            try:
-                await _write_json_response(
-                    writer, 500, {"error": f"{type(exc).__name__}: {exc}"}
-                )
-            except OSError:
-                pass
-        finally:
-            self._connections.discard(writer)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (OSError, ConnectionResetError):
-                pass
-
-    async def _handle_submit(self, writer, body: bytes) -> None:
-        if not self._accepting:
-            await _write_json_response(
-                writer, 503, {"error": "server is draining/stopped"}
-            )
-            return
-        try:
-            payload = json.loads(body or b"{}")
-            jobs = [
-                CompileJob.from_dict(item)
-                for item in payload.get("jobs", [])
-            ]
-            priority = int(payload.get("priority", 0))
-        except (ValueError, TypeError, KeyError) as exc:
-            await _write_json_response(
-                writer, 400, {"error": f"bad submission: {exc}"}
-            )
-            return
-        if not jobs:
-            await _write_json_response(
-                writer, 400, {"error": "submission carries no jobs"}
-            )
-            return
-        await _start_event_stream(writer)
+    async def _serve_submission(self, jobs, priority, emit) -> None:
         events: asyncio.Queue = asyncio.Queue()
-        await _write_stream_event(
-            writer,
-            {"event": "hello", "server_pid": os.getpid(),
-             "count": len(jobs)},
-        )
         finished = 0
         for index, job in enumerate(jobs):
             for event in self._admit(index, job, priority, events):
                 if event["event"] == "result":
                     finished += 1
-                await _write_stream_event(writer, event)
+                await emit(event)
         while finished < len(jobs):
             event = await events.get()
-            await _write_stream_event(writer, event)
+            await emit(event)
             if event["event"] == "result":
                 finished += 1
-        await _write_stream_event(
-            writer, {"event": "done", "count": len(jobs)}
-        )
-        await _end_event_stream(writer)
 
-    def _health(self) -> dict:
+    async def _health(self) -> dict:
         return {
             "status": "ok" if self._accepting else "draining",
             "pid": os.getpid(),
@@ -707,52 +467,8 @@ class CompileServer:
         }
 
 
-class ServerThread:
-    """A :class:`CompileServer` on a background thread (tests, benches).
-
-    Context manager: entering starts the loop thread and blocks until
-    the server is accepting; exiting drains and joins.  The server
-    shares the process's tracer/metrics registry, which is exactly
-    what in-process tests want to assert against.
-    """
-
-    def __init__(self, **kwargs):
-        self.server = CompileServer(**kwargs)
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.server.host}:{self.server.port}"
-
-    def start(self) -> "ServerThread":
-        self._thread = threading.Thread(
-            target=self._main, name="repro-serve", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise RuntimeError("compile server failed to start in 30s")
-        return self
-
-    def _main(self) -> None:
-        asyncio.run(
-            self.server.run(ready_callback=lambda _s: self._ready.set())
-        )
-
-    def stop(self, drain: bool = True) -> None:
-        loop = self.server._loop
-        if loop is not None and loop.is_running():
-            asyncio.run_coroutine_threadsafe(
-                self.server.shutdown(drain=drain), loop
-            )
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop(drain=exc_type is None)
+#: A :class:`CompileServer` on a background thread (tests, benches).
+ServerThread = functools.partial(FrontThread, CompileServer)
 
 
 def serve(
@@ -761,19 +477,5 @@ def serve(
     **kwargs,
 ) -> int:
     """Blocking entry point for ``repro serve``."""
-    server = CompileServer(host=host, port=port, **kwargs)
-
-    def announce(s: CompileServer) -> None:
-        print(
-            f"repro compile service listening on http://{s.host}:{s.port} "
-            f"(workers={s.workers}, retries={s.retries}, "
-            f"queue={'durable' if s.queue.path else 'memory'}, "
-            f"results={'durable' if s.results.path else 'memory'})",
-            flush=True,
-        )
-
-    try:
-        asyncio.run(server.run(ready_callback=announce))
-    except KeyboardInterrupt:
-        print("repro serve: interrupted, stopping", flush=True)
+    CompileServer(host=host, port=port, **kwargs).serve_forever("repro serve")
     return 0

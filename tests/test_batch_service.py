@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.service import (
     circuit_digest,
     suite_jobs,
 )
+from repro.service.engine import fan_out, start_worker
 from repro.transpiler.basis import translate_to_basis
 from repro.transpiler.coupling import square_lattice
 from repro.transpiler.pipeline import transpile
@@ -559,6 +561,44 @@ class TestBatchEngine:
 
     def test_empty_job_list(self):
         assert BatchEngine(workers=1).run([]) == []
+
+
+def _sigterm_is_default(_payload=None) -> bool:
+    return signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+
+
+def _report_sigterm(conn) -> None:
+    conn.send(_sigterm_is_default())
+    conn.close()
+
+
+class TestWorkerSignals:
+    """Worker processes must not inherit a parent's SIGTERM handler.
+
+    A raising handler (a harness's cleanup hook) inherited by a fork
+    worker turns ``Pool.terminate()`` into an exception inside the
+    worker's teardown, which can wedge the pool.
+    """
+
+    @pytest.fixture(autouse=True)
+    def raising_sigterm_handler(self):
+        def handler(signum, _frame):
+            raise SystemExit(128 + signum)
+
+        previous = signal.signal(signal.SIGTERM, handler)
+        yield
+        signal.signal(signal.SIGTERM, previous)
+
+    def test_fan_out_pool_workers_see_default_sigterm(self):
+        assert not _sigterm_is_default()
+        assert list(fan_out(_sigterm_is_default, [0, 1], workers=2)) == [
+            True, True,
+        ]
+
+    def test_started_worker_sees_default_sigterm(self):
+        process, receiver = start_worker(_report_sigterm)
+        assert receiver.recv() is True
+        process.join(timeout=30)
 
 
 class TestResultStore:

@@ -14,6 +14,7 @@ a real ``repro serve`` subprocess over HTTP end to end.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import socket
@@ -30,6 +31,7 @@ from repro.service import (
     CompileResult,
     PersistentJobQueue,
     QueueError,
+    RouterThread,
     ServerThread,
     ServiceClient,
     ServiceError,
@@ -38,6 +40,7 @@ from repro.service import (
     wait_until_ready,
 )
 from repro.service.engine import execute_job
+from repro.service.front import MAX_BODY_BYTES
 
 #: Seconds-scale job every service test farms (fast pipeline, 4 qubits).
 _FAST = dict(
@@ -62,6 +65,29 @@ def free_port() -> int:
     port = sock.getsockname()[1]
     sock.close()
     return port
+
+
+@pytest.fixture(params=["server", "router"])
+def front_url(request):
+    """A live front of each kind: a bare server, or a router over one."""
+    with ServerThread(workers=1, use_cache=False) as shard:
+        if request.param == "server":
+            yield shard.url
+        else:
+            with RouterThread([shard.url]) as router:
+                yield router.url
+
+
+def exchange(sock, reader, head: str, body: bytes = b"") -> tuple[int, dict]:
+    """One raw HTTP request on ``sock``; returns (status, JSON reply)."""
+    sock.sendall(f"{head}Host: test\r\n\r\n".encode() + body)
+    status = int(reader.readline().split()[1])
+    length = 0
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode().partition(":")
+        if name.lower() == "content-length":
+            length = int(value)
+    return status, json.loads(reader.read(length))
 
 
 @pytest.fixture(autouse=True)
@@ -114,17 +140,52 @@ class TestServerLifecycle:
         worker.join(timeout=60)
         assert collected and collected[0].ok
 
-    def test_empty_submission_rejected(self):
-        with ServerThread(workers=1, use_cache=False) as st:
-            client = ServiceClient(st.url, timeout=30)
-            with pytest.raises(ServiceError, match="no jobs"):
-                list(client.submit_stream([]))
+    def test_empty_submission_rejected(self, front_url):
+        client = ServiceClient(front_url, timeout=30)
+        with pytest.raises(ServiceError, match="no jobs"):
+            list(client.submit_stream([]))
 
-    def test_unknown_route_is_404(self):
-        with ServerThread(workers=1, use_cache=False) as st:
-            client = ServiceClient(st.url, timeout=30)
-            with pytest.raises(ServiceError, match="no route"):
-                client._request("GET", "/v1/nope")
+    def test_unknown_route_is_404(self, front_url):
+        client = ServiceClient(front_url, timeout=30)
+        with pytest.raises(ServiceError, match="no route"):
+            client._request("GET", "/v1/nope")
+
+    def test_malformed_requests_are_refused(self, front_url):
+        address = front_url.removeprefix("http://").split(":")
+        address = (address[0], int(address[1]))
+        # A JSON body that is not an object: 400, connection reusable,
+        # and a shutdown request refused this way stops nothing.
+        with socket.create_connection(address, timeout=30) as sock:
+            reader = sock.makefile("rb")
+            for path in ("/v1/submit", "/v1/shutdown"):
+                status, reply = exchange(
+                    sock, reader,
+                    f"POST {path} HTTP/1.1\r\nContent-Length: 6\r\n",
+                    b"[1, 2]",
+                )
+                assert status == 400
+                assert "JSON object" in reply["error"]
+            status, health = exchange(
+                sock, reader, "GET /v1/health HTTP/1.1\r\n"
+            )
+            assert status == 200 and health["status"] == "ok"
+        # A bad or oversized Content-Length: refused, body never read,
+        # connection closed.
+        for length, expected in (
+            ("-5", 400), ("abc", 400), (str(MAX_BODY_BYTES + 1), 413),
+        ):
+            with socket.create_connection(address, timeout=30) as sock:
+                reader = sock.makefile("rb")
+                status, reply = exchange(
+                    sock, reader,
+                    f"POST /v1/submit HTTP/1.1\r\n"
+                    f"Content-Length: {length}\r\n",
+                )
+                assert status == expected, reply
+                assert reader.read() == b""
+        client = ServiceClient(front_url, timeout=30)
+        assert client.health()["status"] == "ok"
+        client.close()
 
 
 class TestDigestParityAndDedup:

@@ -36,7 +36,9 @@ from collections.abc import Coroutine
 from ..obs import metrics, trace
 from .jobs import CompileJob
 
-__all__ = ["MAX_BODY_BYTES", "FrontThread", "HttpFront", "service_span"]
+__all__ = [
+    "MAX_BODY_BYTES", "FrontThread", "HttpFront", "new_span_id", "service_span",
+]
 
 #: Largest request body a front reads; submissions are job descriptions
 #: of well under a kilobyte each.

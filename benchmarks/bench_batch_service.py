@@ -13,15 +13,13 @@ its real process-lifetime costs:
 * **2 workers** — warm again, through the multiprocessing pool.
 
 Only the decomposition cache is isolated to the temp dir; the
-coverage cache (``REPRO_CACHE_DIR``: point clouds plus persisted hull
-state) is deliberately shared by all phases, so the cold/warm delta
-isolates exactly what the decomposition cache saves a fresh process:
-loading the coverage hulls plus every ``template_for`` call.  The
-hull load is a fraction of a second once the shared store holds hull
-state, and seconds of SVD + Delaunay in the first process that
-assembles a set from bare clouds.  Cold pays it in every regime, so
-the strict ``warm < cold`` assertion is stable without multi-minute
-Algorithm-2 rebuilds per phase.
+coverage cache (``REPRO_CACHE_DIR``: point clouds) is deliberately
+shared by all phases, so the cold/warm delta isolates exactly what the
+decomposition cache saves a fresh process: assembling the coverage
+hulls from their clouds (a fraction of a second per set) plus every
+``template_for`` call.  Cold pays it in every regime, so the strict
+``warm < cold`` assertion is stable without multi-minute Algorithm-2
+rebuilds per phase.
 
 Asserts the paper-suite guarantees: the warm run is strictly faster
 than the cold one, and every phase produces byte-identical circuits

@@ -10,14 +10,14 @@ Two measurements feed the ``BENCH_synthesis.json`` perf trajectory:
   loss each path reaches;
 * **cold vs warm CoverageStore** — a full Alg. 2 coverage build against
   re-loading the same set from the sqlite store (a fresh store
-  instance, nothing memoized in-process: the persisted hull tier
-  answers, so neither the clouds nor qhull are touched).
+  instance, nothing memoized in-process: the persisted clouds answer
+  and only their hulls are assembled, with no re-sampling).
 
 ``test_perf_smoke_coverage_store`` is the cheap CI guard: the warm
 store must be at least 2x faster than the cold build on the small
 preset (observed ~40x, so the bound trips on a genuinely broken store,
 not on runner noise), and — noise-free — the warm load must be one
-hull-tier hit with zero hull re-assemblies.
+cloud-tier disk hit with zero coverage builds.
 """
 
 from __future__ import annotations
@@ -139,17 +139,16 @@ def _store_entry(tmp_path) -> dict:
     cold = build_coverage_set(store=cold_store, **SMALL_PRESET)
     cold_s = time.perf_counter() - start
 
-    # Fresh instance: empty memory tier, hulls come from sqlite.
+    # Fresh instance: empty memory tier, clouds come from sqlite.
     warm_store = CoverageStore(path=store_path)
-    assemblies = metrics.counter("repro.coverage.assemblies")
-    assembled_before = assemblies.value
+    builds = metrics.counter("repro.coverage.builds")
+    built_before = builds.value
     start = time.perf_counter()
     warm = build_coverage_set(store=warm_store, **SMALL_PRESET)
     warm_s = time.perf_counter() - start
-    assert warm_store.stats.hull_hits == 1, "warm build missed the hull tier"
-    assert warm_store.stats.hull_misses == 0
-    assert assemblies.value == assembled_before, (
-        "warm build re-assembled hulls instead of loading them"
+    assert warm_store.stats.disk_hits == 1, "warm build missed the cloud tier"
+    assert builds.value == built_before, (
+        "warm build re-sampled the clouds instead of loading them"
     )
 
     haar = haar_coordinate_samples(500, seed=9)

@@ -254,12 +254,20 @@ class SqliteStoreMixin:
         source = self._open_db(other_path)
         absorbed = 0
         try:
-            # Stream row by row: rows can carry multi-megabyte payloads
-            # (coverage hull state), so a fetchall would hold a whole
-            # store in memory.
-            for row in source.execute(f"SELECT * FROM {self._STORE_TABLE}"):
+            # Copy the columns both layouts share, so a readable older
+            # schema with an extra column folds in without it.
+            table = self._STORE_TABLE
+            theirs = {row[1] for row in source.execute(f"PRAGMA table_info({table})")}
+            columns = ", ".join(
+                row[1]
+                for row in conn.execute(f"PRAGMA table_info({table})")
+                if row[1] in theirs
+            )
+            # Stream row by row: rows can carry multi-megabyte payloads,
+            # so a fetchall would hold a whole store in memory.
+            for row in source.execute(f"SELECT {columns} FROM {table}"):
                 cursor = conn.execute(
-                    f"INSERT OR IGNORE INTO {self._STORE_TABLE} "
+                    f"INSERT OR IGNORE INTO {table} ({columns}) "
                     f"VALUES ({','.join('?' * len(row))})",
                     row,
                 )

@@ -348,10 +348,10 @@ def _store_rows(path, table: str) -> int:
 
 
 def _coverage_usage_note(usage: dict[str, int]) -> str:
-    """Row and byte counts of a coverage store's cloud and hull tiers."""
+    """Row and byte counts of a coverage store's clouds."""
     return (
-        f"clouds {usage['cloud_bytes'] / 1e6:.1f} MB, hull state on "
-        f"{usage['hulls']} row(s) {usage['hull_bytes'] / 1e6:.1f} MB"
+        f"{usage['clouds']} cloud row(s), "
+        f"{usage['cloud_bytes'] / 1e6:.1f} MB"
     )
 
 
@@ -556,8 +556,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             store = default_coverage_store()
             print(
                 f"coverage store: {store.stats.as_dict()} "
-                f"({store.disk_entries()} clouds at {store.path}; "
-                f"{_coverage_usage_note(store.disk_usage())})"
+                f"({store.path}: {_coverage_usage_note(store.disk_usage())})"
             )
         else:
             # Touching the default store here would create the sqlite

@@ -11,20 +11,20 @@ numerically, exactly as the paper's Algorithm 2:
    path;
 3. split points into the left/right chamber halves (``c1 <= pi/2``) to
    preserve convexity and take convex hulls;
-4. score membership with Delaunay triangulations (with dimension fallback
-   for degenerate regions such as iSWAP's K=2 base plane).
+4. score membership with the hulls' facet halfspaces: a point is inside
+   when every facet margin ``A·x + b`` is at most :data:`FACET_BAND`
+   (with dimension fallback for degenerate regions such as iSWAP's K=2
+   base plane).
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import ConvexHull, Delaunay, QhullError
+from scipy.spatial import ConvexHull, QhullError
 
 from ..kernels.membership import first_covering_k
 from ..quantum.random import as_rng, haar_unitaries_batch
@@ -40,6 +40,7 @@ __all__ = [
     "expected_cost",
     "cache_enabled",
     "default_cache_dir",
+    "FACET_BAND",
 ]
 
 
@@ -50,11 +51,9 @@ def default_cache_dir() -> Path:
     ``~/.cache/repro-coverage``.  The sqlite-backed
     :class:`~repro.service.coverage_store.CoverageStore` lives here (as
     did the legacy per-key ``.npz`` archives it migrates from).  The
-    store keeps the raw clouds *and* the assembled hull state: the
-    clouds skip the minutes-long Algorithm-2 sampling, and the hull
-    state skips re-triangulating them (0.8–2.8 s per set at the paper's
-    cloud sizes), so a fresh process loads a set in a fraction of a
-    second.
+    clouds skip the minutes-long Algorithm-2 sampling; assembling their
+    hulls (SVD plus one ``ConvexHull`` per region) takes a fraction of
+    a second, so a fresh process loads a set without re-sampling.
     """
     override = os.environ.get("REPRO_CACHE_DIR")
     base = Path(override) if override else Path.home() / ".cache" / "repro-coverage"
@@ -91,94 +90,46 @@ _EXTERIOR_TARGETS: tuple[tuple[str, tuple[float, float, float]], ...] = (
 )
 
 
-#: ``Delaunay`` attributes that are lazily computed caches (or the
-#: closed qhull handle): never persisted, reset to ``None`` on load and
-#: rebuilt on first use.  The barycentric ``_transform`` alone would
-#: double a hull payload.
-_DELAUNAY_LAZY = (
-    "_qhull", "_transform", "_vertex_to_simplex", "_vertex_neighbor_vertices"
-)
+#: Inclusive band of the facet rule: a point belongs to a region when no
+#: facet margin ``A·x + b`` exceeds it.  It sits above the shift of the
+#: 1e-8 key grid the decomposition cache quantizes coordinates on
+#: (rounded CNOT, B, iSWAP and SWAP land 3.2-3.9e-9 outside facets they
+#: lie on exactly) and far below both the 1e-6 rule tolerance and the
+#: nearest Haar sample seen (1.7e-7 from a facet).
+FACET_BAND = 5e-8
+
+#: Elements per block of the (rows x facets) margin array.
+_MARGIN_BLOCK = 1 << 20
 
 
-@cache
-def _delaunay_layout() -> dict[str, tuple[np.dtype, int]]:
-    """dtype and ndim of every persisted ``Delaunay`` attribute.
+def _rowwise_matmul(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``rows @ matrix.T`` summed column by column in a fixed order.
 
-    Read off a fresh triangulation, so it always matches the installed
-    scipy.
+    Only elementwise operations, never BLAS: every output row is rounded
+    exactly as it would be alone, so no answer depends on the rest of
+    its batch.
     """
-    fresh = Delaunay(np.vstack([np.zeros(3), np.eye(3), np.ones(3)]))
-    return {
-        name: (np.asarray(value).dtype, np.asarray(value).ndim)
-        for name, value in vars(fresh).items()
-        if name not in _DELAUNAY_LAZY
-    }
+    out = rows[:, :1] * matrix[:, 0]
+    for axis in range(1, rows.shape[1]):
+        out = out + rows[:, axis : axis + 1] * matrix[:, axis]
+    return out
 
 
-def _in_range(indices: np.ndarray, low: int, high: int) -> bool:
-    return bool(np.all((indices >= low) & (indices < high)))
+def _hull_facets(projected: np.ndarray) -> np.ndarray | None:
+    """Unique outward facet equations ``[A | b]`` of a point cloud.
 
-
-def _rehydrate_delaunay(
-    state: Mapping[str, np.ndarray], rank: int
-) -> Delaunay:
-    """A ``Delaunay`` from persisted arrays, checked before scipy sees them.
-
-    scipy's point location walks ``simplices`` and ``neighbors``
-    through raw pointers without bounds checks, and the arrays come from
-    a shared on-disk cache.  So the state must carry exactly the fields
-    of a fresh triangulation, with their dtypes and dimensions, shapes
-    consistent with ``ndim``/``npoints``/``nsimplex``, and every index
-    in range.
-
-    Raises:
-        ValueError: on any mismatch.
+    Retries with joggled input for tough clouds; ``None`` when qhull
+    cannot build a hull in this dimension at all.
     """
-    layout = _delaunay_layout()
-    prefix = "delaunay."
-    given = {
-        name[len(prefix):]: state[name]
-        for name in state
-        if name.startswith(prefix) and name != "delaunay.unset"
-    }
-    unset = {str(name) for name in state["delaunay.unset"]}
-    if given.keys() != layout.keys() or not unset <= set(_DELAUNAY_LAZY):
-        raise ValueError("hull state has unknown or missing Delaunay fields")
-    attrs: dict[str, object] = dict.fromkeys(_DELAUNAY_LAZY)
-    for name, value in given.items():
-        dtype, ndim = layout[name]
-        if value.dtype != dtype or value.ndim != ndim:
-            raise ValueError(f"Delaunay field {name!r} has the wrong type")
-        attrs[name] = value.item() if ndim == 0 else value
-    dim, npoints, nsimplex = attrs["ndim"], attrs["npoints"], attrs["nsimplex"]
-    shapes = {
-        "_points": (npoints, dim),
-        "simplices": (nsimplex, dim + 1),
-        "neighbors": (nsimplex, dim + 1),
-        "equations": (nsimplex, dim + 2),
-        "good": (nsimplex,),
-        "min_bound": (dim,),
-        "max_bound": (dim,),
-    }
-    coplanar = attrs["coplanar"]
-    if (
-        dim != rank
-        or nsimplex < 1
-        or coplanar.shape[1:] != (3,)
-        or any(attrs[name].shape != shape for name, shape in shapes.items())
-    ):
-        raise ValueError("hull state has inconsistent Delaunay shapes")
-    # coplanar rows are (point, nearest simplex, nearest vertex).
-    if not (
-        _in_range(attrs["simplices"], 0, npoints)
-        and _in_range(attrs["neighbors"], -1, nsimplex)
-        and _in_range(coplanar[:, 0::2], 0, npoints)
-        and _in_range(coplanar[:, 1], 0, nsimplex)
-    ):
-        raise ValueError("hull state has out-of-range Delaunay indices")
-    delaunay = Delaunay.__new__(Delaunay)
-    vars(delaunay).update(attrs)
-    return delaunay
+    for options in (None, "QJ"):
+        try:
+            return np.unique(
+                ConvexHull(projected, qhull_options=options).equations,
+                axis=0,
+            )
+        except QhullError:
+            continue
+    return None
 
 
 class RegionHull:
@@ -186,9 +137,9 @@ class RegionHull:
 
     Supports full 3-D regions, planar regions (e.g. the chamber base
     plane), line segments (e.g. the CNOT family), and single points.
-    :meth:`state` / :meth:`from_state` round-trip an assembled hull
-    through plain arrays, bit-exactly, so a persisted hull answers every
-    :meth:`contains` query exactly as the freshly triangulated one.
+    Full and planar regions decide membership from their facets: a
+    point is inside exactly when every margin ``A·x + b`` of the hull's
+    facet equations is at most :data:`FACET_BAND`.
     """
 
     def __init__(self, points: np.ndarray, tol: float = 1e-4):
@@ -204,196 +155,60 @@ class RegionHull:
         _, singular, vt = np.linalg.svd(centered, full_matrices=False)
         self.rank = int(np.sum(singular > tol * max(1.0, singular[0])))
         self.basis = vt[: self.rank] if self.rank else np.zeros((0, 3))
-        self._delaunay: Delaunay | None = None
         self._interval: tuple[float, float] | None = None
         self._facets: np.ndarray | None = None
-        triangulated: np.ndarray | None = None
-        if self.rank >= 1:
-            projected = centered @ self.basis.T
-            if self.rank == 1:
-                line = projected[:, 0]
-                self._interval = (float(line.min()), float(line.max()))
-            else:
-                self._delaunay = self._triangulate(projected)
-                triangulated = projected
-                if self._delaunay is None:
-                    # Nearly degenerate cloud: retreat one dimension.
-                    self.rank -= 1
-                    self.basis = self.basis[: self.rank]
-                    if self.rank == 1:
-                        line = centered @ self.basis[0]
-                        self._interval = (float(line.min()), float(line.max()))
-                    else:
-                        triangulated = centered @ self.basis.T
-                        self._delaunay = self._triangulate(triangulated)
-        if self._delaunay is not None and triangulated is not None:
-            # Outward facet equations of the same point cloud: a cheap
-            # vectorized signed-distance bound used to spot queries in
-            # the ambiguity band of find_simplex (see contains()).
-            try:
-                self._facets = ConvexHull(triangulated).equations
-            except QhullError:  # pragma: no cover - joggled-input clouds
-                self._facets = None
-
-    def state(self) -> dict[str, np.ndarray]:
-        """Exact array form of the assembled hull (see :meth:`from_state`).
-
-        Holds the projection (``centroid``, ``basis``, ``rank``), the
-        rank-1 ``interval``, the facet equations, and the ``Delaunay``
-        pickle state minus its lazy caches.  Every entry is a numeric or
-        string array, so the state stores without pickling.
-        """
-        state = {
-            "tol": np.float64(self.tol),
-            "centroid": self.centroid,
-            "basis": self.basis,
-            "rank": np.int64(self.rank),
-        }
-        if self._interval is not None:
-            state["interval"] = np.array(self._interval, dtype=float)
-        if self._facets is not None:
-            state["facets"] = self._facets
-        if self._delaunay is not None:
-            unset = []
-            for name, value in vars(self._delaunay).items():
-                if value is None or name in _DELAUNAY_LAZY:
-                    unset.append(name)
-                else:
-                    state[f"delaunay.{name}"] = np.asarray(value)
-            state["delaunay.unset"] = np.array(unset, dtype=str)
-        return state
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, np.ndarray]) -> RegionHull:
-        """Rehydrate a hull from :meth:`state` without SVD or qhull.
-
-        The state may come from a shared on-disk cache, so every field
-        is checked (see :func:`_rehydrate_delaunay`) before any query
-        can reach scipy with it.
-
-        Raises:
-            KeyError, ValueError: on a malformed state.
-        """
-        hull = cls.__new__(cls)
-        hull.tol = float(state["tol"])
-        hull.centroid = np.asarray(state["centroid"], dtype=float)
-        hull.basis = np.asarray(state["basis"], dtype=float)
-        hull.rank = int(state["rank"])
-        if (
-            not 0 <= hull.rank <= 3
-            or hull.centroid.shape != (3,)
-            or hull.basis.shape != (hull.rank, 3)
-        ):
-            raise ValueError("hull state has inconsistent projection shapes")
-        hull._interval = None
-        if "interval" in state:
-            low, high = (float(value) for value in state["interval"])
-            hull._interval = (low, high)
-        elif hull.rank == 1:
-            raise ValueError("rank-1 hull state lacks its interval")
-        hull._facets = None
-        if "facets" in state:
-            facets = state["facets"]
-            if facets.dtype != np.float64 or facets.shape[1:] != (
-                hull.rank + 1,
-            ):
-                raise ValueError("hull state has malformed facet equations")
-            hull._facets = facets
-        hull._delaunay = None
-        if "delaunay.unset" in state:
-            hull._delaunay = _rehydrate_delaunay(state, hull.rank)
-        return hull
-
-    @staticmethod
-    def _triangulate(projected: np.ndarray) -> Delaunay | None:
-        """Delaunay with a joggled-input retry for tough point clouds."""
-        try:
-            return Delaunay(projected)
-        except QhullError:
-            try:
-                return Delaunay(projected, qhull_options="QJ")
-            except QhullError:
-                return None
-
-    #: Half-width of the decision band inside which a batched query is
-    #: replayed as a solo call (see contains()).  Orders of magnitude
-    #: above float noise, orders below the hull tolerance.
-    _AMBIGUITY_BAND = 1e-6
-
-    def _ambiguous_rows(
-        self, projected: np.ndarray, residual_norm: np.ndarray | None
-    ) -> np.ndarray:
-        """Rows close enough to a membership threshold to need a solo query.
-
-        Batched evaluation is not automatically bitwise-equivalent to
-        per-point evaluation: the (N, 3) projection matmul rounds
-        differently than the (1, 3) one (GEMM vs GEMV summation order),
-        and ``Delaunay.find_simplex`` resolves queries within its
-        numerical tolerance of a simplex boundary differently depending
-        on where its directed walk starts — i.e. on the *other* points
-        in the batch.  Chamber landmarks (the CX ray, CNOT, sqrt(CNOT))
-        sit exactly on coverage-hull facets, so batched membership would
-        otherwise disagree with the scalar path on precisely the gates
-        real circuits are made of.  Facet signed distances (and, for
-        degenerate regions, the distance to the off-subspace tolerance
-        threshold) bound the band; everything outside it is
-        batch-invariant.
-        """
-        if self._delaunay is not None:
-            if self._facets is None:  # pragma: no cover - joggled clouds
-                ambiguous = np.ones(len(projected), dtype=bool)
-            else:
-                margins = (
-                    projected @ self._facets[:, :-1].T + self._facets[:, -1]
-                )
-                ambiguous = np.abs(margins.max(axis=1)) <= self._AMBIGUITY_BAND
-        else:
-            ambiguous = np.zeros(len(projected), dtype=bool)
-        if residual_norm is not None:
-            ambiguous |= (
-                np.abs(residual_norm - self.tol) <= self._AMBIGUITY_BAND
-            )
-        return ambiguous
+        if self.rank >= 2:
+            self._facets = _hull_facets(centered @ self.basis.T)
+            if self._facets is None:
+                # Nearly degenerate cloud: retreat one dimension.
+                self.rank -= 1
+                self.basis = self.basis[: self.rank]
+                if self.rank == 2:
+                    self._facets = _hull_facets(centered @ self.basis.T)
+        if self.rank == 1:
+            line = centered @ self.basis[0]
+            self._interval = (float(line.min()), float(line.max()))
 
     def contains(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized membership test; accepts shape (3,) or (N, 3).
 
-        Batched queries are bitwise-equivalent to per-point calls:
-        points inside the numerical decision band are replayed as fresh
-        single-point queries (see :meth:`_ambiguous_rows`), so
-        membership of a point never depends on what else is in its
-        batch.
+        Every row is decided on its own (see :func:`_rowwise_matmul`),
+        so a batch answers exactly as the same rows queried one by one.
         """
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         centered = coords - self.centroid
         if self.rank == 0:
             inside = np.ones(len(coords), dtype=bool)
         else:
-            projected = centered @ self.basis.T
+            projected = _rowwise_matmul(centered, self.basis)
             if self.rank == 1:
                 low, high = self._interval  # type: ignore[misc]
                 inside = (projected[:, 0] >= low - self.tol) & (
                     projected[:, 0] <= high + self.tol
                 )
-            elif self._delaunay is not None:
-                inside = self._delaunay.find_simplex(projected) >= 0
+            elif self._facets is not None:
+                inside = self._within_facets(projected)
             else:  # pragma: no cover - exhausted fallbacks
                 inside = np.zeros(len(coords), dtype=bool)
-        # Off-subspace displacement must vanish for membership.
-        residual_norm: np.ndarray | None = None
         if self.rank < 3:
-            residual = centered - (
-                (centered @ self.basis.T) @ self.basis
-                if self.rank
-                else np.zeros_like(centered)
+            # Off-subspace displacement must vanish for membership.
+            residual = centered
+            if self.rank:
+                residual = centered - _rowwise_matmul(projected, self.basis.T)
+            inside &= np.linalg.norm(residual, axis=1) <= self.tol
+        return inside
+
+    def _within_facets(self, projected: np.ndarray) -> np.ndarray:
+        """Rows whose every facet margin is at most :data:`FACET_BAND`."""
+        facets = self._facets
+        normals, offsets = facets[:, :-1], facets[:, -1]
+        inside = np.empty(len(projected), dtype=bool)
+        step = max(1, _MARGIN_BLOCK // len(facets))
+        for start in range(0, len(projected), step):
+            margins = _rowwise_matmul(projected[start : start + step], normals)
+            inside[start : start + step] = np.all(
+                margins + offsets <= FACET_BAND, axis=1
             )
-            residual_norm = np.linalg.norm(residual, axis=1)
-            inside &= residual_norm <= self.tol
-        if len(coords) > 1 and self.rank >= 1:
-            for row in np.flatnonzero(
-                self._ambiguous_rows(projected, residual_norm)
-            ):
-                inside[row] = self.contains(coords[row])[0]
         return inside
 
     @property
@@ -412,10 +227,15 @@ class KCoverage:
     num_points: int
 
     def contains(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorized membership across both chamber halves."""
+        """Vectorized membership across both chamber halves.
+
+        Rows within :data:`FACET_BAND` of the ``c1 = pi/2`` plane count
+        as left-half rows, so a coordinate on the plane keeps its side
+        under the decomposition cache's 1e-8 key rounding.
+        """
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         result = np.zeros(len(coords), dtype=bool)
-        on_left = coords[:, 0] <= _HALF_PI + 1e-9
+        on_left = coords[:, 0] <= _HALF_PI + FACET_BAND
         if on_left.any():
             result[on_left] = self.left.contains(coords[on_left])
         on_right = ~on_left
@@ -557,8 +377,8 @@ def build_coverage_set(
         boost_targets: run the synthesizer toward the chamber's exterior
             points and fold its training path into the point cloud —
             random sampling alone under-fills hull corners.
-        cache: persist/reuse the sampled point clouds and the
-            assembled hull state through the coverage store.
+        cache: persist/reuse the sampled point clouds through the
+            coverage store.
         engine: the :class:`~repro.synthesis.SynthesisEngine` supplying
             the template family and training path (``None`` = the
             process-default piecewise engine — the digest-stable paper
@@ -598,24 +418,11 @@ def build_coverage_set(
         assembled = store.get_set(key)
         if assembled is not None:
             return assembled
-        assembled = store.get_hulls(
-            key,
-            kmax,
-            lambda state: _rehydrate_coverage(
-                basis_name, parallel, state, kmax
-            ),
-        )
-        if assembled is not None:
-            store.remember_set(key, assembled)
-            return assembled
         cached_clouds = store.get_clouds(key, kmax)
         if cached_clouds is not None:
-            # Clouds without (current) hull state: assemble once and
-            # persist the hulls so later processes skip qhull.
             assembled = _assemble_coverage(
                 basis_name, parallel, cached_clouds
             )
-            store.put_hulls(key, kmax, _hull_state(assembled))
             store.remember_set(key, assembled)
             return assembled
 
@@ -640,7 +447,6 @@ def build_coverage_set(
     assembled = _assemble_coverage(basis_name, parallel, clouds)
     if key is not None and store is not None:
         store.put_clouds(key, clouds)
-        store.put_hulls(key, kmax, _hull_state(assembled))
         store.remember_set(key, assembled)
     return assembled
 
@@ -712,63 +518,6 @@ def _assemble_coverage(
         right = RegionHull(right_pts) if len(right_pts) >= 4 else None
         coverages.append(
             KCoverage(k=k, left=left, right=right, num_points=len(points))
-        )
-    return CoverageSet(
-        basis_name=basis_name,
-        parallel=parallel,
-        coverages=tuple(coverages),
-    )
-
-
-def _hull_state(coverage: CoverageSet) -> dict[str, np.ndarray]:
-    """Flat array form of every assembled hull in a coverage set.
-
-    Names are ``k<K>.num_points`` and ``k<K>.<left|right>.<field>``
-    over :meth:`RegionHull.state` fields; a missing right half has no
-    entries.
-    """
-    state: dict[str, np.ndarray] = {}
-    for region in coverage.coverages:
-        state[f"k{region.k}.num_points"] = np.int64(region.num_points)
-        for side, hull in (("left", region.left), ("right", region.right)):
-            if hull is not None:
-                for name, value in hull.state().items():
-                    state[f"k{region.k}.{side}.{name}"] = value
-    return state
-
-
-def _rehydrate_coverage(
-    basis_name: str,
-    parallel: bool,
-    state: Mapping[str, np.ndarray],
-    kmax: int,
-) -> CoverageSet:
-    """Inverse of :func:`_hull_state` for K = 1..kmax (no qhull calls).
-
-    Raises:
-        KeyError, ValueError: on a malformed or short state.
-    """
-    names = list(state)
-    coverages = []
-    for k in range(1, kmax + 1):
-        halves: dict[str, RegionHull | None] = {}
-        for side in ("left", "right"):
-            prefix = f"k{k}.{side}."
-            fields = {
-                name[len(prefix):]: state[name]
-                for name in names
-                if name.startswith(prefix)
-            }
-            halves[side] = RegionHull.from_state(fields) if fields else None
-        if halves["left"] is None:
-            raise KeyError(f"hull state lacks the K={k} left region")
-        coverages.append(
-            KCoverage(
-                k=k,
-                left=halves["left"],
-                right=halves["right"],
-                num_points=int(state[f"k{k}.num_points"]),
-            )
         )
     return CoverageSet(
         basis_name=basis_name,

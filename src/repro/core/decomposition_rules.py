@@ -29,7 +29,7 @@ import numpy as np
 from ..kernels.membership import membership_matrix
 from ..quantum.weyl import named_gate_coordinates
 from .conversion_gain import drive_angles_for_coordinates
-from .coverage import CoverageSet, KCoverage
+from .coverage import FACET_BAND, CoverageSet, KCoverage
 
 __all__ = [
     "TemplateSpec",
@@ -42,10 +42,27 @@ __all__ = [
     "canonical_basis_name",
     "coverage_for_basis",
     "BASIS_DRIVE_ANGLES",
+    "KEY_DECIMALS",
+    "quantize_coordinates",
 ]
 
 _TOL = 1e-6
 _HALF_PI = np.pi / 2
+
+#: Decimal grid coordinate classes are rounded to before any rule decides
+#: on them (and the decomposition cache keys on), two orders of
+#: magnitude finer than the 1e-6 rule tolerance.
+KEY_DECIMALS = 8
+
+
+def quantize_coordinates(coords: np.ndarray) -> np.ndarray:
+    """Coordinates rounded to the :data:`KEY_DECIMALS` grid.
+
+    Classifying the rounded rows makes a template a function of the
+    cache key: cached and uncached compiles agree by construction.
+    ``+ 0.0`` folds ``-0.0`` into ``0.0``.
+    """
+    return np.round(np.asarray(coords, dtype=float), KEY_DECIMALS) + 0.0
 
 #: Paper Table I: gates (K) to reach named targets, per basis.  "haar"
 #: entries are reproduced numerically, not tabulated here.
@@ -171,11 +188,12 @@ class DecompositionRules:
 
         Decomposition caches must key on this, not ``name``: two
         instances of the same class with different durations or quanta
-        produce different templates for the same coordinates.
-        Subclasses append every constructor parameter that affects
-        template selection.
+        produce different templates for the same coordinates.  The
+        coverage membership band keys too: it decides which K an
+        on-facet coordinate gets.  Subclasses append every constructor
+        parameter that affects template selection.
         """
-        return f"{self.name}|1q{self.one_q_duration!r}"
+        return f"{self.name}|1q{self.one_q_duration!r}|band{FACET_BAND!r}"
 
 
 #: Lowercase/underscore spellings hardware targets use for basis gates,
@@ -397,8 +415,13 @@ class ParallelSqrtISwapRules(DecompositionRules):
     # -- template selection -------------------------------------------------
 
     def _quantize(self, duration: float) -> float:
-        """Round a pulse duration up to the calibrated quantum."""
-        steps = max(1, int(np.ceil(duration / self.pulse_quantum - 1e-9)))
+        """Round a pulse duration up to the calibrated quantum.
+
+        Durations within :data:`_TOL` quanta above a whole number of
+        quanta round down to it, so a key-rounded CX-family coordinate
+        (CNOT's ``c1`` rounds up by 3.2e-9) keeps its pulse.
+        """
+        steps = max(1, int(np.ceil(duration / self.pulse_quantum - _TOL)))
         return steps * self.pulse_quantum
 
     def template_for(self, coords: np.ndarray) -> TemplateSpec:
@@ -474,7 +497,7 @@ class ParallelSqrtISwapRules(DecompositionRules):
 
         # Fractional-family pulse totals, quantized like _quantize.
         steps = np.maximum(
-            1, np.ceil(c1 / _HALF_PI / self.pulse_quantum - 1e-9).astype(int)
+            1, np.ceil(c1 / _HALF_PI / self.pulse_quantum - _TOL).astype(int)
         )
         totals = steps * self.pulse_quantum
 

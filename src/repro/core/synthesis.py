@@ -40,6 +40,14 @@ __all__ = ["SynthesizedCircuit", "synthesize_circuit", "exterior_locals"]
 
 _HALF_PI = np.pi / 2
 
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Z = np.diag([1, -1]).astype(complex)
+#: Locals A, B with CAN(c1, c2, c3) = A CAN(pi - c1, c2, -c3) B up to
+#: phase: XX shifts c1 by pi, Z on one qubit flips c1 and c2, X on one
+#: qubit flips c2 and c3.
+_MIRROR_LEFT = np.kron(_X, _X) @ np.kron(_Z @ _X, np.eye(2))
+_MIRROR_RIGHT = np.kron(_X @ _Z, np.eye(2))
+
 
 @dataclass(frozen=True)
 class SynthesizedCircuit:
@@ -70,17 +78,25 @@ def exterior_locals(
     """
     kak_target = kak_decompose(target)
     kak_achieved = kak_decompose(achieved)
-    if not np.allclose(
-        kak_target.coordinates, kak_achieved.coordinates, atol=1e-5
-    ):
-        raise ValueError(
-            "achieved unitary is not locally equivalent to the target: "
-            f"{kak_achieved.coordinates} vs {kak_target.coordinates}"
-        )
+    left_achieved = kak_achieved.left_local
+    right_achieved = kak_achieved.right_local
+    c1, c2, c3 = kak_achieved.coordinates
+    if not np.allclose(kak_target.coordinates, (c1, c2, c3), atol=1e-5):
+        if not np.allclose(
+            kak_target.coordinates, (np.pi - c1, c2, -c3), atol=1e-5
+        ):
+            raise ValueError(
+                "achieved unitary is not locally equivalent to the target: "
+                f"{kak_achieved.coordinates} vs {kak_target.coordinates}"
+            )
+        # The chamber halves meet on the c3 = 0 face: a target there
+        # may be reached from the mirror half, CAN(c) = A CAN(m) B.
+        left_achieved = left_achieved @ _MIRROR_LEFT
+        right_achieved = _MIRROR_RIGHT @ right_achieved
     # target = Lt CAN Rt, achieved = La CAN Ra  =>
     # target = (Lt La†) achieved (Ra† Rt).
-    left = kak_target.left_local @ dagger(kak_achieved.left_local)
-    right = dagger(kak_achieved.right_local) @ kak_target.right_local
+    left = kak_target.left_local @ dagger(left_achieved)
+    right = dagger(right_achieved) @ kak_target.right_local
     _, k1l, k2l = kron_factor_4x4(left)
     _, k1r, k2r = kron_factor_4x4(right)
     return k1l, k2l, k1r, k2r

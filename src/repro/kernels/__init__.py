@@ -18,9 +18,9 @@ call per circuit instead of one scalar call per gate:
   folding with per-row convergence, matching the scalar
   :func:`repro.quantum.weyl.canonicalize_coordinates` exactly.
 * :func:`membership_matrix` / :func:`first_covering_k` — coverage-region
-  membership over all N query points with one ``Delaunay.find_simplex``
-  call per region (the kernel behind ``CoverageSet.min_k`` and the rule
-  engines' batched template selection).
+  membership over all N query points with one facet-margin test per
+  region (the kernel behind ``CoverageSet.min_k`` and the rule engines'
+  batched template selection).
 
 All kernels are written against :mod:`repro.kernels.backend` — an
 :class:`~repro.kernels.backend.ArrayBackend` registry resolving numpy

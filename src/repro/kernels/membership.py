@@ -2,9 +2,9 @@
 
 Coverage regions (:class:`repro.core.coverage.RegionHull` /
 :class:`~repro.core.coverage.KCoverage`) already answer vectorized
-point-set queries — one ``Delaunay.find_simplex`` call per region.  The
-helpers here organize those calls for the two consumers that used to
-issue them per point:
+point-set queries — one facet-margin test per region, every row decided
+on its own.  The helpers here organize those calls for the two
+consumers that used to issue them per point:
 
 * :func:`membership_matrix` — evaluate a list of regions against one
   stacked query set, returning the full (regions x points) boolean
@@ -36,7 +36,7 @@ def membership_matrix(regions: Sequence, coords: np.ndarray) -> np.ndarray:
             (``RegionHull`` or ``KCoverage`` instances).
         coords: query points, shape ``(N, 3)`` (or a single triple) —
             any backend's array type; the hull tests themselves run on
-            the host (scipy ``Delaunay`` is CPU-only), so adapter
+            the host (the facets come from scipy's qhull), so adapter
             arrays transfer back to numpy once at this edge.
 
     Returns:

@@ -16,10 +16,14 @@ default) regardless of how hot the profiled path is.
 Cross-process: ``fork()`` does not carry threads into the child, so a
 worker inheriting an enabled profiler has no sampler thread.  Workers
 call :func:`ensure_running` on entry (pid + liveness check restarts the
-thread), then ship their sample *delta* back through the same freight
-channel spans and metric deltas use (``snapshot()``/``delta()``/
-``absorb()`` mirror :class:`~repro.obs.metrics.MetricsRegistry`), and
-the parent merges counts keyed by identical strings.
+thread).  A fresh thread may not run before a short job ends (its first
+tick waits ``interval``, and the job may hold the GIL), so until the
+sampler lands a sample inside some span, the first span closing on the
+main thread samples itself.  Workers then ship their sample *delta*
+back through the same freight channel spans and metric deltas use
+(``snapshot()``/``delta()``/``absorb()`` mirror
+:class:`~repro.obs.metrics.MetricsRegistry`), and the parent merges
+counts keyed by identical strings.
 
 Activation mirrors the tracer: :func:`enable_profiling`, the
 ``REPRO_PROFILE`` environment variable (truthy → 5 ms default, a number
@@ -34,6 +38,8 @@ import sys
 import threading
 from pathlib import Path
 from time import sleep
+
+from .trace import TRACER
 
 __all__ = [
     "DEFAULT_INTERVAL_S",
@@ -125,6 +131,7 @@ class SamplingProfiler:
         # event may be stale; rebuild both.
         self._pid = os.getpid()
         self._stop = threading.Event()
+        TRACER.close_hook = self._sample_closing_span
         self._thread = threading.Thread(
             target=self._run,
             name="repro-profiler",
@@ -136,6 +143,8 @@ class SamplingProfiler:
         """Stop sampling (buffered samples stay readable)."""
         self.enabled = False
         self._stop.set()
+        if self._pid == os.getpid():
+            TRACER.close_hook = None
         thread = self._thread
         if thread is not None and thread.is_alive() \
                 and self._pid == os.getpid():
@@ -154,17 +163,29 @@ class SamplingProfiler:
     # -- the sampler thread --------------------------------------------------
 
     def _run(self) -> None:
-        from .trace import TRACER
-
         main_ident = threading.main_thread().ident
         stop = self._stop
         while not stop.wait(self.interval):
             frame = sys._current_frames().get(main_ident)
-            if frame is None:
-                continue
-            span_name = TRACER.active_span_name() or NO_SPAN
-            key = ";".join([span_name, *_format_stack(frame)])
-            self.samples[key] = self.samples.get(key, 0) + 1
+            if frame is not None:
+                self._record(frame)
+
+    def _record(self, frame) -> None:
+        """Count one sample of ``frame``'s stack under the active span."""
+        span_name = TRACER.active_span_name()
+        key = ";".join([span_name or NO_SPAN, *_format_stack(frame)])
+        self.samples[key] = self.samples.get(key, 0) + 1
+        if span_name is not None:
+            TRACER.close_hook = None
+
+    def _sample_closing_span(self) -> None:
+        """Tracer close hook: sample the main thread as a span closes."""
+        if (
+            self._pid == os.getpid()
+            and threading.current_thread() is threading.main_thread()
+        ):
+            # Frames: this hook, the span's __exit__, the closing code.
+            self._record(sys._getframe(2))
 
     # -- shipping (mirrors MetricsRegistry snapshot/delta/absorb) ------------
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 import os
 import uuid
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -165,6 +166,8 @@ class _ActiveSpan:
     def __exit__(self, exc_type, exc, tb) -> None:
         duration = perf_counter() - self._start
         tracer = self._tracer
+        if tracer.close_hook is not None:
+            tracer.close_hook()
         # The stack is per-process; a fork between enter and exit leaves
         # the parent's open span ids on the child's stack, which is
         # exactly the parenting the child's spans should see.
@@ -204,6 +207,10 @@ class Tracer:
         self._names: list[str] = []
         self._root_parent: str | None = None
         self._ids = itertools.count(1)
+        #: Called as a span closes, before it leaves the stack; the
+        #: sampling profiler sets it while it owes a fresh sampler its
+        #: first in-span sample.
+        self.close_hook: Callable[[], None] | None = None
 
     # -- switches ------------------------------------------------------------
 

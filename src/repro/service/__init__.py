@@ -16,8 +16,8 @@ suites best-of-N per circuit.  This package turns those one-off
   callbacks, plus :class:`ResultStore` aggregation and the named job
   :data:`SUITES`;
 * :mod:`repro.service.coverage_store` — :class:`CoverageStore`, the
-  LRU-fronted sqlite store of coverage-set point clouds and their
-  assembled hull state that the synthesis engine rides;
+  LRU-fronted sqlite store of coverage-set point clouds that the
+  synthesis engine rides;
 * :mod:`repro.service.front` / :mod:`repro.service.server` /
   :mod:`repro.service.client` — the network tier: one HTTP front
   (request loop, endpoints, submit validation, ndjson framing) under

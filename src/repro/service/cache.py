@@ -25,14 +25,14 @@ round-trip and one transaction per gate.  Pulse durations persist as
 (legacy ``repr``-formatted rows still parse).
 
 Keys quantize coordinates on a grid two orders of magnitude finer than
-the rule engines' classification tolerance (1e-6).  Two coordinates
-share a bucket only when they differ by < 1e-8 — far inside the band
-the engines themselves treat as the same class, except in the
-measure-zero case of a coordinate sitting within half a grid step of a
-classification threshold, where physically-degenerate targets may
-alias.  Bit-exact repeats (the overwhelmingly common case: identical
-blocks across trials, workers, and reruns of deterministic workloads)
-always key identically.  A fully warm cache short-circuits
+the rule engines' classification tolerance (1e-6), and basis
+translation hands the rules the same rounded coordinates
+(:func:`~repro.core.decomposition_rules.quantize_coordinates`) whether
+or not a cache is attached.  Every coordinate in one key bucket thus
+gets the same template by construction, so cached compiles equal
+uncached ones.  Bit-exact repeats (the overwhelmingly common case:
+identical blocks across trials, workers, and reruns of deterministic
+workloads) always key identically.  A fully warm cache short-circuits
 ``template_for`` entirely, which also skips the lazy construction of
 coverage-set hulls — the dominant cold cost of a fresh process.
 """
@@ -48,7 +48,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.decomposition_rules import TemplateSpec
+from ..core.decomposition_rules import (
+    KEY_DECIMALS,
+    TemplateSpec,
+    quantize_coordinates,
+)
 from ..obs import metrics
 from .store_base import SqliteStoreMixin
 
@@ -56,9 +60,6 @@ __all__ = ["CacheStats", "DecompositionCache", "default_decomp_cache_dir"]
 
 #: Template-store schema version (bumped on incompatible layout changes).
 _CACHE_SCHEMA = 1
-
-#: Quantization grid for cache keys (finer than the 1e-6 rule tolerance).
-_KEY_DECIMALS = 8
 
 #: Keys per ``IN (...)`` clause; sqlite's default variable limit is 999.
 _SQL_CHUNK = 400
@@ -195,23 +196,19 @@ class DecompositionCache(SqliteStoreMixin):
     @staticmethod
     def key_for(rules_token: str, coords: np.ndarray) -> str:
         """Stable text key: rules cache token + grid-quantized coordinates."""
-        c = np.round(np.asarray(coords, dtype=float), _KEY_DECIMALS)
-        # Avoid distinct "-0.0" / "0.0" buckets for the same class.
-        c = c + 0.0
+        c = quantize_coordinates(coords)
         return (
-            f"{rules_token}|{c[0]:.{_KEY_DECIMALS}f}"
-            f"|{c[1]:.{_KEY_DECIMALS}f}|{c[2]:.{_KEY_DECIMALS}f}"
+            f"{rules_token}|{c[0]:.{KEY_DECIMALS}f}"
+            f"|{c[1]:.{KEY_DECIMALS}f}|{c[2]:.{KEY_DECIMALS}f}"
         )
 
     @staticmethod
     def keys_for(rules_token: str, coords: np.ndarray) -> list[str]:
         """Batched :meth:`key_for`: quantize a whole stack up front."""
-        c = np.round(np.atleast_2d(np.asarray(coords, dtype=float)),
-                     _KEY_DECIMALS)
-        c = c + 0.0
+        c = quantize_coordinates(np.atleast_2d(coords))
         return [
-            f"{rules_token}|{row[0]:.{_KEY_DECIMALS}f}"
-            f"|{row[1]:.{_KEY_DECIMALS}f}|{row[2]:.{_KEY_DECIMALS}f}"
+            f"{rules_token}|{row[0]:.{KEY_DECIMALS}f}"
+            f"|{row[1]:.{KEY_DECIMALS}f}|{row[2]:.{KEY_DECIMALS}f}"
             for row in c
         ]
 

@@ -205,10 +205,9 @@ def _warm_rules(names: set[str]) -> None:
     Children inherit the assembled sets (fork) instead of each paying
     the full Algorithm-2 build.  Processes that start cold — spawned
     workers, or workers forked by a server that never warmed — load the
-    sets from the coverage store's three tiers: the persisted hull
-    state answers in a fraction of a second, and only a row without
-    current hull state re-assembles from its point clouds (seconds of
-    SVD + qhull per set).  Coverage hulls are independent of a
+    sets' point clouds from the coverage store and assemble their hulls
+    (SVD + qhull, a fraction of a second per set).  Coverage hulls are
+    independent of a
     target's speed-limit scale and 1Q duration, so warming the default
     engines covers every target variant.
     """

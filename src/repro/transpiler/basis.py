@@ -15,7 +15,11 @@ import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gate import Gate
-from ..core.decomposition_rules import DecompositionRules, TemplateSpec
+from ..core.decomposition_rules import (
+    DecompositionRules,
+    TemplateSpec,
+    quantize_coordinates,
+)
 from ..kernels.weyl_batch import weyl_coordinates_many
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -55,6 +59,11 @@ def translate_to_basis(
     single disk round-trip and one write transaction per circuit).
     Both kernels are bit-identical to their scalar counterparts, so the
     emitted circuit matches the historical gate-at-a-time path exactly.
+
+    Both paths classify the coordinates rounded to the cache's key grid
+    (:func:`~repro.core.decomposition_rules.quantize_coordinates`), so
+    every coordinate in one key bucket gets the same template whether
+    or not a cache answers.
     """
     out = QuantumCircuit(circuit.num_qubits, f"{circuit.name}_{rules.name}")
     one_q = rules.one_q_duration
@@ -70,7 +79,7 @@ def translate_to_basis(
         matrices.append(np.asarray(gate.to_matrix(), dtype=complex))
     specs: list[TemplateSpec] = []
     if matrices:
-        coords = weyl_coordinates_many(np.stack(matrices))
+        coords = quantize_coordinates(weyl_coordinates_many(np.stack(matrices)))
         if cache is None:
             specs = rules.templates_for_many(coords)
         else:

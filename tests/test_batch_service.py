@@ -5,12 +5,18 @@ from __future__ import annotations
 import json
 import math
 import signal
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.gate import Gate
 from repro.circuits.workloads import get_workload
-from repro.core.decomposition_rules import TemplateSpec
+from repro.core.decomposition_rules import TemplateSpec, quantize_coordinates
+from repro.quantum.weyl import named_gate_coordinates
 from repro.targets import get_target
 from repro.service import (
     BatchEngine,
@@ -22,7 +28,7 @@ from repro.service import (
     circuit_digest,
     suite_jobs,
 )
-from repro.service.engine import fan_out, start_worker
+from repro.service.engine import execute_job, fan_out, start_worker
 from repro.transpiler.basis import translate_to_basis
 from repro.transpiler.coupling import square_lattice
 from repro.transpiler.pipeline import transpile
@@ -309,6 +315,13 @@ class TestDecompositionCache:
         assert cache.disk_entries() == 0
 
 
+#: Chamber landmarks on coverage-hull facets (plus one off the named set).
+_BUCKET_LANDMARKS = {
+    name: named_gate_coordinates(name)
+    for name in ("I", "CNOT", "sqrt_CNOT", "B", "iSWAP", "sqrt_iSWAP", "SWAP")
+} | {"(1.2,0,0)": np.array([1.2, 0.0, 0.0])}
+
+
 class TestCachedTranslation:
     def test_translation_identical_with_cache(self, tmp_path, parallel_rules):
         circuit = get_workload("qft", 6, seed=11)
@@ -343,6 +356,61 @@ class TestCachedTranslation:
             BaselineSqrtISwapRules().cache_token
             != BaselineSqrtISwapRules(one_q_duration=0.5).cache_token
         )
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        landmark=st.sampled_from(sorted(_BUCKET_LANDMARKS)),
+        offsets=st.lists(
+            st.floats(-4.9e-9, 4.9e-9), min_size=6, max_size=6
+        ),
+    )
+    def test_one_key_bucket_one_template(
+        self, landmark, offsets, baseline_rules, parallel_rules
+    ):
+        """Two coordinates in one cache-key bucket get the same template,
+        cached or not, under both default engines (the buckets sit on
+        coverage facets, where a K decision is closest to flipping)."""
+        center = quantize_coordinates(_BUCKET_LANDMARKS[landmark])
+        pair = center + np.reshape(offsets, (2, 3))
+        keys = DecompositionCache.keys_for("bucket", pair)
+        assume(keys[0] == keys[1])
+        circuit = QuantumCircuit(2)
+        circuit.append(Gate("cx", (0, 1))).append(Gate("cx", (0, 1)))
+
+        def digest(rows, rules, cache):
+            with mock.patch(
+                "repro.transpiler.basis.weyl_coordinates_many",
+                return_value=np.array(rows),
+            ):
+                return circuit_digest(
+                    translate_to_basis(circuit, rules, cache=cache)
+                )
+
+        for rules in (baseline_rules, parallel_rules):
+            same = digest([pair[0], pair[0]], rules, None)
+            assert digest(pair, rules, None) == same
+            assert digest(
+                pair, rules, DecompositionCache(persistent=False)
+            ) == same
+
+    def test_cached_and_uncached_jobs_agree(self, tmp_path):
+        """adder-16q-baseline under compile seed 1 once diverged: the cache
+        kept its bucket's first representative while the uncached path
+        decided K on each block's own coordinates (181.0 vs 191.5)."""
+        job = CompileJob(
+            workload="adder", num_qubits=16, rules="baseline", trials=10,
+            seed=1, target="snail_4x4", pipeline="noise_aware",
+        )
+        cached = execute_job(
+            job, use_cache=True, cache_path=tmp_path / "t.sqlite"
+        )
+        uncached = execute_job(job, use_cache=False)
+        assert cached.ok and uncached.ok
+        assert cached.digest == uncached.digest
 
     def test_translate_accepts_cache(self, parallel_rules):
         circuit = get_workload("ghz", 4, seed=11)

@@ -109,7 +109,7 @@ class TestSynth:
         assert code == 0
         assert "K=1: Haar fraction" in out
         assert "coverage store" in out
-        assert "hull state on 1 row(s)" in out
+        assert "1 cloud row(s)" in out
         assert (tmp_path / "coverage.sqlite").exists()
 
     def test_coverage_flow_respects_kill_switch(

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.coverage import (
+    FACET_BAND,
     KCoverage,
     RegionHull,
     build_coverage_set,
@@ -53,11 +57,53 @@ class TestRegionHull:
         results = hull.contains(queries)
         assert results.shape == (50,)
 
+    def test_facet_band_is_inclusive(self):
+        corners = np.array(
+            [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)],
+            dtype=float,
+        )
+        hull = RegionHull(corners)
+        face = np.array([0.5, 0.5, 1.0])
+        assert hull.contains(face)[0]
+        assert hull.contains(face + [0, 0, 0.5 * FACET_BAND])[0]
+        assert not hull.contains(face + [0, 0, 2 * FACET_BAND])[0]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        planar=st.booleans(),
+    )
+    def test_batch_answers_as_rows_alone(self, seed, planar):
+        gen = np.random.default_rng(seed)
+        points = gen.uniform(0, 1, size=(60, 3))
+        if planar:
+            points[:, 2] = 0.0
+        hull = RegionHull(points)
+        # Cloud points lie on facets; the rest straddle the boundary.
+        queries = np.vstack([points, gen.uniform(-0.2, 1.2, size=(60, 3))])
+        solo = np.array([hull.contains(row)[0] for row in queries])
+        assert np.array_equal(hull.contains(queries), solo)
+        assert hull.contains(points).all()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RegionHull(np.zeros((0, 3)))
         with pytest.raises(ValueError):
             RegionHull(np.zeros((5, 2)))
+
+
+class TestKCoverageHalves:
+    def test_plane_rows_within_band_count_as_left(self, rng):
+        left_points = rng.uniform(0, 1, size=(80, 3)) * [_HALF_PI, 1, 1]
+        left_points[0, 0] = _HALF_PI
+        region = KCoverage(
+            k=1, left=RegionHull(left_points), right=None, num_points=80
+        )
+        on_plane = left_points[0].copy()
+        on_plane[0] += 0.5 * FACET_BAND  # e.g. rounded to the key grid
+        assert region.contains(on_plane)[0]
+        on_plane[0] = _HALF_PI + 1e-3
+        assert not region.contains(on_plane)[0]
 
 
 class TestCoverageSets:

@@ -9,6 +9,7 @@ from repro.core.decomposition_rules import (
     BaselineSqrtISwapRules,
     ParallelSqrtISwapRules,
     TemplateSpec,
+    quantize_coordinates,
 )
 from repro.core.parallel_drive import ParallelDriveTemplate, synthesize
 from repro.quantum.gates import CNOT, SWAP, canonical_gate
@@ -134,6 +135,21 @@ class TestBaselineRules:
 
 
 class TestParallelRules:
+    def test_key_rounded_cx_family_keeps_its_pulse(self, parallel_rules):
+        """CNOT's c1 rounds up by 3.2e-9 on the key grid; the pulse
+        quantum must not round that up to a fifth quarter pulse."""
+        cnot = named_gate_coordinates("CNOT")
+        assert quantize_coordinates(cnot)[0] > cnot[0]
+        for name, total in (("CNOT", 1.0), ("sqrt_CNOT", 0.5)):
+            rounded = quantize_coordinates(named_gate_coordinates(name))
+            spec = parallel_rules.template_for(rounded)
+            assert spec.pulses == (total,)
+            assert parallel_rules.templates_for_many(rounded[None])[0] == spec
+
+    def test_quantize_folds_negative_zero(self):
+        rounded = quantize_coordinates(np.array([-1e-12, -0.0, 0.5]))
+        assert np.signbit(rounded).tolist() == [False, False, False]
+
     def test_cnot_paper_duration(self, parallel_rules):
         # Table V: D[CNOT] = 1.5 with interior layers absorbed.
         duration = parallel_rules.duration(named_gate_coordinates("CNOT"))

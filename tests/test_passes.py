@@ -300,7 +300,7 @@ class TestTrialStreams:
             "4b4c91ebf810613a1345bea3d962b27e733f298f5444702f610639acace13cd0"
         ),
         ("qft", "baseline"): (
-            "ba3bd5035ba530a66bf6b6fe2cd3cf993b96c9aaad5bc33100137675a7b62656"
+            "aec44036a15febf4ac19092f6e3dad42879bf8d20bd08f26b60ccc8a8074ae25"
         ),
         ("qft", "parallel"): (
             "957ff9fbeb65bd49b8937d3cfc5ddfdf4c72303e58a86223033728843a7b7361"

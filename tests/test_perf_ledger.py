@@ -492,6 +492,31 @@ class TestProfiler:
         # Root-first stacks: the burn helper is the leaf frame.
         assert any("_burn" in key.split(";")[-1] for key in burn_keys)
 
+    def test_fresh_sampler_samples_first_closing_span(self):
+        """A span shorter than the first tick still gets one sample."""
+        enable_tracing()
+        PROFILER.interval = 60.0  # the thread never ticks in this test
+        PROFILER.start()
+        with trace.span("short.job"):
+            pass
+        with trace.span("second.job"):
+            pass
+        PROFILER.stop()
+        assert [key.split(";", 1)[0] for key in PROFILER.samples] == [
+            "short.job"
+        ]
+        assert sum(PROFILER.samples.values()) == 1
+
+    def test_stopped_sampler_leaves_spans_unsampled(self):
+        enable_tracing()
+        PROFILER.interval = 60.0
+        PROFILER.start()
+        PROFILER.stop()
+        with trace.span("after.stop"):
+            pass
+        assert TRACER.close_hook is None
+        assert PROFILER.samples == {}
+
     def test_samples_outside_spans_use_placeholder(self):
         profiler = PROFILER
         profiler.interval = 0.001

@@ -21,6 +21,20 @@ class TestExteriorLocals:
 
         assert allclose_up_to_global_phase(rebuilt, target, atol=1e-6)
 
+    def test_reaches_target_from_the_mirror_half(self, rng):
+        """Near the c3 = 0 face, (pi - c1, c2, -c3) is the same class."""
+        achieved = gates.canonical_gate(3 * np.pi / 4, 1.5e-7, 6.9e-9)
+        target = (
+            random_local_pair(rng)
+            @ gates.canonical_gate(np.pi / 4, 0.0, 0.0)
+            @ random_local_pair(rng)
+        )
+        k1l, k2l, k1r, k2r = exterior_locals(achieved, target)
+        rebuilt = np.kron(k1l, k2l) @ achieved @ np.kron(k1r, k2r)
+        from repro.quantum.linalg import unitary_infidelity
+
+        assert unitary_infidelity(rebuilt, target) < 1e-10
+
     def test_rejects_different_class(self):
         with pytest.raises(ValueError):
             exterior_locals(gates.CNOT, gates.SWAP)
